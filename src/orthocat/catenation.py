@@ -8,8 +8,8 @@ edges instead of ε-moves, so it has exactly the sum of the state counts.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import Dfa, Nfa
 
@@ -28,15 +28,28 @@ class CatState:
 
 @dataclass(frozen=True)
 class CatDfa:
-    """Catenation DFA together with the construction label of every state."""
+    """Catenation DFA together with the construction key of every state.
+
+    ``keys[i]`` is ``(q, mask)``: state i tracks first-automaton state q and
+    the second-automaton states whose bits are set in ``mask``.
+    """
 
     dfa: Dfa
-    labels: tuple[CatState, ...]
+    keys: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != self.dfa.state_count:
-            raise ValueError("exactly one label per state is required")
+        object.__setattr__(self, "keys", tuple(self.keys))
+        if len(self.keys) != self.dfa.state_count:
+            raise ValueError("exactly one key per state is required")
+
+    @cached_property
+    def labels(self) -> tuple[CatState, ...]:
+        """The keys decoded into labels, one per state; built on first access."""
+        return tuple(CatState(q, _mask_members(mask)) for q, mask in self.keys)
+
+
+def _mask_members(mask: int) -> frozenset[int]:
+    return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 def general_upper_bound(m: int, n: int) -> int:
@@ -78,40 +91,39 @@ def build_catenation_dfa(a: Dfa, b: Dfa) -> CatDfa:
         )
     k = len(a.alphabet)
     image = [[1 << b.delta[p][s] for p in range(nb)] for s in range(k)]
+    # step[s][mask]: the b-states that mask moves to on s. A mask recurs
+    # with many first components, so each is worked out once per symbol.
+    step: list[dict[int, int]] = [{} for _ in range(k)]
+    b_start = 1 << b.start
     fb_mask = 0
     for p in b.accepting:
         fb_mask |= 1 << p
-    start_key = (a.start, (1 << b.start) if a.start in a.accepting else 0)
+    start_key = (a.start, b_start if a.start in a.accepting else 0)
     index = {start_key: 0}
     keys = [start_key]
-    pending = deque([start_key])
     rows: list[tuple[int, ...]] = []
-    while pending:
-        q, mask = pending.popleft()
+    for q, mask in keys:  # keys grows while it is walked: the BFS queue
         row = []
-        for s in range(k):
-            q2 = a.delta[q][s]
-            mask2 = 0
-            rem = mask
-            while rem:
-                low = rem & -rem
-                mask2 |= image[s][low.bit_length() - 1]
-                rem ^= low
-            if q2 in a.accepting:
-                mask2 |= 1 << b.start
-            key = (q2, mask2)
-            if key not in index:
-                index[key] = len(keys)
+        for s, q2 in enumerate(a.delta[q]):
+            mask2 = step[s].get(mask)
+            if mask2 is None:
+                mask2 = 0
+                rem = mask
+                while rem:
+                    low = rem & -rem
+                    mask2 |= image[s][low.bit_length() - 1]
+                    rem ^= low
+                step[s][mask] = mask2
+            key = (q2, mask2 | b_start) if q2 in a.accepting else (q2, mask2)
+            target = index.get(key)
+            if target is None:
+                target = index[key] = len(keys)
                 keys.append(key)
-                pending.append(key)
-            row.append(index[key])
+            row.append(target)
         rows.append(tuple(row))
     accepting = frozenset(i for i, (_, mask) in enumerate(keys) if mask & fb_mask)
-    labels = tuple(
-        CatState(q, frozenset(p for p in range(nb) if mask >> p & 1)) for q, mask in keys
-    )
     dfa = Dfa(alphabet=a.alphabet, delta=tuple(rows), start=0, accepting=accepting)
-    return CatDfa(dfa, labels)
+    return CatDfa(dfa, tuple(keys))
 
 
 def build_catenation_nfa(a: Dfa, b: Dfa) -> Nfa:
@@ -152,5 +164,5 @@ def valid_second_components(a: Dfa, b: Dfa, q: int) -> frozenset[frozenset[int]]
     reachable catenation-DFA states; empty when q never shows up."""
     if not 0 <= q < a.state_count:
         raise ValueError(f"state {q} out of range for {a.state_count} states")
-    cat = build_catenation_dfa(a, b)
-    return frozenset(label.b_subset for label in cat.labels if label.a_state == q)
+    masks = {mask for p, mask in build_catenation_dfa(a, b).keys if p == q}
+    return frozenset(_mask_members(mask) for mask in masks)

@@ -107,11 +107,18 @@ def cmd_sweep(m_max: int, n_max: int, out: str | Path) -> list[SweepRow]:
     return rows
 
 
+def _load(path: str | Path) -> Dfa:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_automaton(text)
+
+
 def cmd_ortho(file_a: str | Path, file_b: str | Path) -> int:
     """Print the orthogonality verdict for two automaton files; exit status
     0 when orthogonal, 1 when not."""
-    a = parse_automaton(Path(file_a).read_text())
-    b = parse_automaton(Path(file_b).read_text())
+    a, b = _load(file_a), _load(file_b)
     verdict = is_orthogonal(a, b)
     if verdict.orthogonal:
         print("orthogonal")
@@ -142,10 +149,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _load(path: str) -> Dfa:
-    return parse_automaton(Path(path).read_text())
 
 
 def _handle_verify(args: argparse.Namespace) -> int:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Symbol = int
 Word = tuple[int, ...]
@@ -218,26 +220,63 @@ def dead_states(d: Dfa) -> frozenset[int]:
     )
 
 
-def _partition_blocks(d: Dfa, states: Iterable[int] | None = None) -> dict[int, int]:
-    """Moore partition refinement: same block id iff no word distinguishes.
+# Around this many states the numpy refinement overtakes the dict loop;
+# below it numpy's per-call overhead dominates. Tiny random inputs sit below
+# the threshold and the witness catenation DFAs far above it.
+_VECTOR_MIN_STATES = 64
 
-    When ``states`` is given it must be closed under transitions; by default
-    all states participate (so unreachable states can be compared too).
-    """
-    pool = list(states) if states is not None else list(range(d.state_count))
-    pool.sort()
-    block = {q: (1 if q in d.accepting else 0) for q in pool}
-    n_blocks = len(set(block.values()))
+
+def _moore_loop(d: Dfa) -> list[int]:
+    """Moore refinement with dict-numbered signatures, over all states."""
+    block = [1 if q in d.accepting else 0 for q in range(d.state_count)]
+    n_blocks = len(set(block))
     while True:
         sigs: dict[tuple[int, ...], int] = {}
-        new_block: dict[int, int] = {}
-        for q in pool:
-            sig = (block[q],) + tuple(block[t] for t in d.delta[q])
-            new_block[q] = sigs.setdefault(sig, len(sigs))
+        new_block = [
+            sigs.setdefault((block[q], *map(block.__getitem__, row)), len(sigs))
+            for q, row in enumerate(d.delta)
+        ]
         if len(sigs) == n_blocks:
             return new_block
         block = new_block
         n_blocks = len(sigs)
+
+
+def _moore_vector(d: Dfa) -> np.ndarray:
+    """Moore refinement in numpy, over all states.
+
+    Each round ranks the signature (own block, block of each successor) one
+    column at a time, so no row-wise sort of the whole signature matrix is
+    needed; the ranks stay below the state count, so the products fit int64.
+    """
+    n, k = d.state_count, len(d.alphabet)
+    delta = np.fromiter(chain.from_iterable(d.delta), dtype=np.int64, count=n * k)
+    delta = delta.reshape(n, k)
+    accepting = np.zeros(n, dtype=np.int64)
+    accepting[np.fromiter(d.accepting, dtype=np.int64, count=len(d.accepting))] = 1
+    # With return_inverse, np.unique skips a masked-array check whose first
+    # use imports numpy.ma and adds ~1.6 MB to the process.
+    ranks, block = np.unique(accepting, return_inverse=True)
+    n_blocks = len(ranks)
+    while True:
+        cur = block
+        for s in range(k):
+            ranks, cur = np.unique(cur * n_blocks + block[delta[:, s]], return_inverse=True)
+        if len(ranks) == n_blocks:
+            return cur
+        block = cur
+        n_blocks = len(ranks)
+
+
+def _partition_blocks(d: Dfa) -> list[int]:
+    """Block id per state, equal iff no word distinguishes the two states.
+
+    All states take part, reachable or not. Large automata are refined in
+    numpy, small ones by the dict loop; both give the same partition.
+    """
+    if d.state_count < _VECTOR_MIN_STATES:
+        return _moore_loop(d)
+    return _moore_vector(d).tolist()
 
 
 def state_equivalent(d: Dfa, q1: int, q2: int) -> bool:
@@ -254,30 +293,29 @@ def state_equivalent(d: Dfa, q1: int, q2: int) -> bool:
 def minimize(d: Dfa) -> Dfa:
     """Canonical minimal DFA for the same language.
 
-    Unreachable states are dropped, equivalent states merged by partition
-    refinement, and the quotient renumbered breadth-first from the start
-    exploring symbols in alphabet order, so equal languages over equal
-    alphabets always yield the bit-identical automaton.
+    Equivalent states are merged by partition refinement, and the quotient
+    is renumbered breadth-first from the start exploring symbols in alphabet
+    order, which drops unreachable states; equal languages over equal
+    alphabets always yield the bit-identical automaton. Any member can stand
+    for its block, because equivalent states have equivalent successors.
     """
-    reach = reachable_states(d)
-    blocks = _partition_blocks(d, reach)
-    rep: dict[int, int] = {}
-    for q in sorted(reach):
-        rep.setdefault(blocks[q], q)
-    order: dict[int, int] = {blocks[d.start]: 0}
-    bfs: list[int] = [blocks[d.start]]
-    queue = deque(bfs)
-    while queue:
-        b = queue.popleft()
+    blocks = _partition_blocks(d)
+    rep = dict(zip(blocks, range(d.state_count)))
+    order = [-1] * d.state_count  # block id -> new state number
+    order[blocks[d.start]] = 0
+    bfs = [blocks[d.start]]
+    rows: list[tuple[int, ...]] = []
+    for b in bfs:
+        row = []
         for t in d.delta[rep[b]]:
             tb = blocks[t]
-            if tb not in order:
-                order[tb] = len(order)
+            if order[tb] < 0:
+                order[tb] = len(bfs)
                 bfs.append(tb)
-                queue.append(tb)
-    delta = tuple(tuple(order[blocks[t]] for t in d.delta[rep[b]]) for b in bfs)
-    accepting = frozenset(order[blocks[q]] for q in reach if q in d.accepting)
-    return Dfa(alphabet=d.alphabet, delta=delta, start=0, accepting=accepting)
+            row.append(order[tb])
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, b in enumerate(bfs) if rep[b] in d.accepting)
+    return Dfa(alphabet=d.alphabet, delta=tuple(rows), start=0, accepting=accepting)
 
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:

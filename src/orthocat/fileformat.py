@@ -19,7 +19,13 @@ then symbol index), so equal automata produce byte-identical text.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .core import Dfa
+
+# How many missing (state, symbol) pairs an error names; it gives the count
+# of the rest, so a huge declared state count cannot produce a huge message.
+_MISSING_SHOWN = 5
 
 
 class FormatError(ValueError):
@@ -82,15 +88,17 @@ def parse_automaton(text: str) -> Dfa:
             raise FormatError(f"duplicate transition for ({q}, {tokens[1]})", number)
         table[(q, s)] = target
 
-    missing = [
-        (q, alphabet[s])
-        for q in range(state_count)
-        for s in range(len(alphabet))
-        if (q, s) not in table
-    ]
+    missing = state_count * len(alphabet) - len(table)
     if missing:
-        shown = ", ".join(f"({q}, {name})" for q, name in missing)
-        raise FormatError(f"incomplete transition table; missing: {shown}")
+        gaps = (
+            f"({q}, {name})"
+            for q in range(state_count)
+            for s, name in enumerate(alphabet)
+            if (q, s) not in table
+        )
+        shown = ", ".join(islice(gaps, _MISSING_SHOWN))
+        more = ", ..." if missing > _MISSING_SHOWN else ""
+        raise FormatError(f"incomplete transition table; {missing} missing: {shown}{more}")
 
     delta = tuple(
         tuple(table[(q, s)] for s in range(len(alphabet))) for q in range(state_count)

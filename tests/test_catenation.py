@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthocat import (
+    CatDfa,
     CatState,
     Dfa,
     accepts,
@@ -84,6 +85,11 @@ class TestBuildCatenationDfa:
         assert build_catenation_dfa(unary_star_dfa(1), unary_star_dfa(62)).dfa.state_count
         with pytest.raises(ValueError, match="at most 62"):
             build_catenation_dfa(unary_star_dfa(1), unary_star_dfa(63))
+
+    def test_rejects_key_count_unlike_state_count(self):
+        cat = build_catenation_dfa(witness_a(3), witness_b(3))
+        with pytest.raises(ValueError, match="one key per state"):
+            CatDfa(cat.dfa, cat.keys[:-1])
 
     def test_start_label_without_epsilon(self):
         cat = build_catenation_dfa(witness_a(3), witness_b(3))

@@ -102,6 +102,14 @@ class TestOrtho:
         assert main(["ortho", str(f), str(f)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["ortho", "FILE", "FILE"], ["min", "FILE"]])
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, capsys, command):
+        f = tmp_path / "binary.dfa"
+        f.write_bytes(b"\xff")
+        argv = [str(f) if arg == "FILE" else arg for arg in command]
+        assert main(argv) == 2
+        assert "not UTF-8 text (byte 0)" in capsys.readouterr().err
+
 
 class TestFileSubcommands:
     def test_cat_emits_minimal_catenation(self, tmp_path):

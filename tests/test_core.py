@@ -1,12 +1,15 @@
+import hashlib
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthocat import (
     Dfa,
     Nfa,
     accepts,
+    build_catenation_dfa,
     dead_states,
     determinize,
     enumerate_accepted,
@@ -23,8 +26,10 @@ from orthocat import (
     witness_a,
     witness_b,
 )
-from orthocat.core import _partition_blocks
+from orthocat.core import _VECTOR_MIN_STATES, _moore_loop, _moore_vector, _partition_blocks
+from orthocat.fileformat import serialize_automaton
 from orthocat.oracle import acceptance_table, residual_count
+from orthocat.randgen import random_dfa, splitmix64_stream
 
 from conftest import dfa_pairs, dfa_strategy, random_nfas, NFA_CORPUS_SEED
 
@@ -166,13 +171,89 @@ class TestMinimize:
         assert small.state_count <= d.state_count
         assert reachable_states(small) == frozenset(range(small.state_count))
         blocks = _partition_blocks(small)
-        assert len(set(blocks.values())) == small.state_count
+        assert len(set(blocks)) == small.state_count
 
     def test_preserves_membership_up_to_length_8(self):
         for d, _ in dfa_pairs(0x3141_0001, 30, max_m=5, max_n=1):
             small = minimize(d)
             for length in range(9):
                 assert (acceptance_table(d, length) == acceptance_table(small, length)).all()
+
+
+def same_partition(x, y) -> bool:
+    """The two block-id lists put exactly the same states together."""
+    return len(set(zip(x, y))) == len(set(x)) == len(set(y))
+
+
+def unary_lasso(n: int, tail: int, accepting_mask: int) -> Dfa:
+    """The path 0 -> 1 -> ... -> n-1 closed by a back edge to ``tail``."""
+    delta = tuple((q + 1,) for q in range(n - 1)) + ((tail,),)
+    accepting = frozenset(q for q in range(n) if accepting_mask >> q & 1)
+    return Dfa(("a",), delta, 0, accepting)
+
+
+def large_catenation(seed: int, k: int) -> Dfa:
+    """The first catenation DFA of at least the vector threshold's size
+    drawn from the seed's stream: unary lassos for k = 1 (their catenations
+    are long paths only rarely), random pairs otherwise."""
+    draws = splitmix64_stream(seed)
+    while True:
+        m, n = 8 + next(draws) % 7, 8 + next(draws) % 7
+        if k == 1:
+            a = unary_lasso(m, next(draws) % m, next(draws))
+            b = unary_lasso(n, next(draws) % n, next(draws))
+        else:
+            a = random_dfa(m % 6 + 3, k, 0.5, next(draws))
+            b = random_dfa(n % 4 + 4, k, 0.5, next(draws))
+        d = build_catenation_dfa(a, b).dfa
+        if d.state_count >= _VECTOR_MIN_STATES:
+            return d
+
+
+class TestMooreRoutes:
+    """The numpy refinement against the dict loop, its reference."""
+
+    def test_vector_and_loop_induce_the_same_equivalence(self):
+        draws = splitmix64_stream(0x3141_0002)
+        with_unreachable = 0
+        for _ in range(240):
+            n = 1 + next(draws) % 300
+            k = 1 + next(draws) % 4
+            prob = (0.0, 0.25, 0.5, 0.75, 1.0)[next(draws) % 5]
+            d = random_dfa(n, k, prob, next(draws))
+            with_unreachable += len(reachable_states(d)) < n
+            assert same_partition(_moore_vector(d).tolist(), _moore_loop(d))
+        assert with_unreachable >= 120
+
+    def test_dispatch_by_size(self):
+        small = unary_lasso(_VECTOR_MIN_STATES - 1, 5, 0b1001)
+        large = unary_lasso(_VECTOR_MIN_STATES, 5, 0b1001)
+        assert _partition_blocks(small) == _moore_loop(small)
+        assert _partition_blocks(large) == _moore_vector(large).tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_large_unary_catenation_matches_residual_count(self, seed):
+        d = large_catenation(seed, 1)
+        small = minimize(d)
+        assert small.state_count == residual_count(d)
+        assert language_equivalent(small, d)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(2, 3))
+    def test_large_catenation_matches_loop_reference(self, seed, k):
+        # residual_count's acceptance vectors reach k**state_count bits, so
+        # beyond one letter the loop's classes over reachable states count.
+        d = large_catenation(seed, k)
+        small = minimize(d)
+        blocks = _moore_loop(d)
+        assert small.state_count == len({blocks[q] for q in reachable_states(d)})
+        assert language_equivalent(small, d)
+
+    def test_canonical_witness_output_is_pinned(self):
+        d = minimize(build_catenation_dfa(witness_a(6), witness_b(8)).dfa)
+        digest = hashlib.sha256(serialize_automaton(d).encode()).hexdigest()
+        assert digest == "b82f01acc517db8ba6498123ba31a51efc3c23a5516fde043ef595adbc5529a6"
 
 
 class TestLanguageEquivalence:

@@ -59,6 +59,12 @@ class TestParseErrors:
         with pytest.raises(FormatError, match=r"missing: \(1, c\)"):
             parse_automaton("\n".join(dropped))
 
+    def test_missing_transitions_message_is_bounded(self):
+        text = "alphabet a b\nstates 1000000\nstart 0\naccepting\n"
+        with pytest.raises(FormatError, match=r"2000000 missing: \(0, a\), \(0, b\),") as info:
+            parse_automaton(text)
+        assert len(str(info.value)) < 1024
+
     def test_duplicate_transition(self):
         text = self.witness_text() + "0 a 0\n"
         with pytest.raises(FormatError, match="duplicate transition"):
