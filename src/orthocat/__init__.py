@@ -16,16 +16,13 @@ from .catenation import (
     orthogonal_upper_bound,
     valid_second_components,
 )
-from .cli import SweepRow, cmd_ortho, cmd_sweep, cmd_verify
 from .core import (
     Dfa,
     Nfa,
-    Symbol,
     Word,
     accepts,
     dead_states,
     determinize,
-    enumerate_accepted,
     extend_alphabet,
     format_word,
     is_permutation_automaton,
@@ -40,6 +37,7 @@ from .fileformat import FormatError, parse_automaton, serialize_automaton
 from .oracle import (
     FoolingSetResult,
     brute_force_orthogonal,
+    enumerate_accepted,
     factorizations,
     residual_count,
     verify_fooling_set,
@@ -74,8 +72,6 @@ __all__ = [
     "Nfa",
     "NotOrthogonalError",
     "OrthogonalityVerdict",
-    "SweepRow",
-    "Symbol",
     "Word",
     "accepts",
     "acc_order",
@@ -83,9 +79,6 @@ __all__ = [
     "build_catenation_dfa",
     "build_catenation_nfa",
     "check_acyclic_accepting",
-    "cmd_ortho",
-    "cmd_sweep",
-    "cmd_verify",
     "dead_states",
     "determinize",
     "enumerate_accepted",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Dfa, Nfa
+from .core import Dfa, Nfa, _require_same_alphabet
 
 # Second-automaton subsets are explored as machine-word bitmasks.
 MAX_SECOND_AUTOMATON_STATES = 62
@@ -81,8 +81,7 @@ def build_catenation_dfa(a: Dfa, b: Dfa) -> CatDfa:
     is already in L(a) it must be (a.start, {b.start}), since the transition
     rule only spawns runs on moves and would otherwise lose ε·L(b).
     """
-    if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabet mismatch: {list(a.alphabet)} vs {list(b.alphabet)}")
+    _require_same_alphabet(a, b)
     nb = b.state_count
     if nb > MAX_SECOND_AUTOMATON_STATES:
         raise ValueError(

@@ -44,6 +44,10 @@ class SweepRow:
     elapsed_ms: int
 
 
+class OracleDisagreement(RuntimeError):
+    """The orthogonality decision and the bounded brute-force scan disagree."""
+
+
 def _witness_cell(m: int, n: int, check_oracle: bool) -> SweepRow:
     t0 = time.perf_counter()
     wa, wb = witness_a(m), witness_b(n)
@@ -51,7 +55,7 @@ def _witness_cell(m: int, n: int, check_oracle: bool) -> SweepRow:
     if check_oracle:
         scan = brute_force_orthogonal(wa, wb, _VERIFY_ORACLE_MAX_LEN)
         if verdict.orthogonal != (scan is None):
-            raise RuntimeError(
+            raise OracleDisagreement(
                 f"orthogonality decision and brute-force scan disagree for ({m}, {n})"
             )
     cat = build_catenation_dfa(wa, wb)
@@ -152,7 +156,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _handle_verify(args: argparse.Namespace) -> int:
-    row = cmd_verify(args.m, args.n)
+    try:
+        row = cmd_verify(args.m, args.n)
+    except OracleDisagreement as exc:
+        print(f"MISMATCH: {exc}")
+        return 1
     print(_row_line(row))
     if row.minimized == row.predicted and row.orthogonal:
         print("ok: minimized size matches the predicted bound")

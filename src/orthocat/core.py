@@ -8,17 +8,13 @@ All types are immutable values and every operation is a pure function.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-Symbol = int
 Word = tuple[int, ...]
-
-EMPTY_WORD: Word = ()
 
 
 def parse_word(alphabet: Sequence[str], text: str) -> Word:
@@ -170,16 +166,12 @@ def _check_alphabet(names: tuple[str, ...]) -> None:
             raise ValueError(f"bad alphabet symbol {name!r}")
 
 
-def _run(d: Dfa, word: Word) -> int:
-    state = d.start
-    for s in word:
-        state = d.delta[state][s]
-    return state
-
-
 def accepts(d: Dfa, w: str | Iterable[int]) -> bool:
     """Decide whether the automaton accepts the word."""
-    return _run(d, d.word(w)) in d.accepting
+    state = d.start
+    for s in d.word(w):
+        state = d.delta[state][s]
+    return state in d.accepting
 
 
 def nfa_accepts(n: Nfa, w: str | Iterable[int]) -> bool:
@@ -194,17 +186,29 @@ def nfa_accepts(n: Nfa, w: str | Iterable[int]) -> bool:
     return bool(current & n.accepting)
 
 
+def _require_same_alphabet(a: Dfa, b: Dfa) -> None:
+    if a.alphabet != b.alphabet:
+        raise ValueError(f"alphabet mismatch: {list(a.alphabet)} vs {list(b.alphabet)}")
+
+
+def _bfs_tree(d: Dfa, root: int) -> dict[int, tuple[int, int] | None]:
+    """Breadth-first tree from ``root``: each reachable state maps to its
+    ``(parent, symbol)`` tree edge (the root to None), keyed in discovery
+    order with symbols tried in alphabet order, so every tree path is the
+    shortest, then lexicographically least, word from the root."""
+    tree: dict[int, tuple[int, int] | None] = {root: None}
+    order = [root]
+    for q in order:  # order grows while it is walked: the BFS queue
+        for s, t in enumerate(d.delta[q]):
+            if t not in tree:
+                tree[t] = (q, s)
+                order.append(t)
+    return tree
+
+
 def reachable_states(d: Dfa) -> frozenset[int]:
     """States reachable from the start state."""
-    seen = {d.start}
-    frontier = deque([d.start])
-    while frontier:
-        q = frontier.popleft()
-        for target in d.delta[q]:
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return frozenset(seen)
+    return frozenset(_bfs_tree(d, d.start))
 
 
 def dead_states(d: Dfa) -> frozenset[int]:
@@ -320,20 +324,17 @@ def minimize(d: Dfa) -> Dfa:
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
     """Exact language equality, by product search for a distinguishing pair."""
-    if d1.alphabet != d2.alphabet:
-        raise ValueError(f"alphabet mismatch: {list(d1.alphabet)} vs {list(d2.alphabet)}")
+    _require_same_alphabet(d1, d2)
     start = (d1.start, d2.start)
     seen = {start}
-    frontier = deque([start])
-    while frontier:
-        p, q = frontier.popleft()
+    order = [start]
+    for p, q in order:  # order grows while it is walked: the BFS queue
         if (p in d1.accepting) != (q in d2.accepting):
             return False
-        for s in range(len(d1.alphabet)):
-            pair = (d1.delta[p][s], d2.delta[q][s])
+        for pair in zip(d1.delta[p], d2.delta[q]):
             if pair not in seen:
                 seen.add(pair)
-                frontier.append(pair)
+                order.append(pair)
     return True
 
 
@@ -347,17 +348,14 @@ def determinize(n: Nfa) -> Dfa:
     start = frozenset(n.initial)
     index: dict[frozenset[int], int] = {start: 0}
     subsets: list[frozenset[int]] = [start]
-    pending = deque([start])
     rows: list[tuple[int, ...]] = []
-    while pending:
-        subset = pending.popleft()
+    for subset in subsets:  # subsets grows while it is walked: the BFS queue
         row = []
         for s in range(k):
             target = frozenset().union(*(n.delta[q][s] for q in subset))
             if target not in index:
                 index[target] = len(subsets)
                 subsets.append(target)
-                pending.append(target)
             row.append(index[target])
         rows.append(tuple(row))
     accepting = frozenset(i for i, sub in enumerate(subsets) if sub & n.accepting)
@@ -370,23 +368,6 @@ def is_permutation_automaton(d: Dfa) -> bool:
     return all(
         len({d.delta[q][s] for q in range(n)}) == n for s in range(len(d.alphabet))
     )
-
-
-def enumerate_accepted(d: Dfa, max_len: int) -> list[Word]:
-    """All accepted words of length <= max_len, shortest first, then
-    lexicographic in alphabet order. Brute force; meant for small bounds."""
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    k = len(d.alphabet)
-    out: list[Word] = []
-    for length in range(max_len + 1):
-        for word in product(range(k), repeat=length):
-            state = d.start
-            for s in word:
-                state = d.delta[state][s]
-            if state in d.accepting:
-                out.append(word)
-    return out
 
 
 def extend_alphabet(d: Dfa, alphabet: Sequence[str]) -> Dfa:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .core import Dfa
+from .core import Dfa, _check_alphabet
 
 # How many missing (state, symbol) pairs an error names; it gives the count
 # of the rest, so a huge declared state count cannot produce a huge message.
@@ -50,8 +50,10 @@ def parse_automaton(text: str) -> Dfa:
     if alpha[0] != "alphabet" or len(alpha) < 2:
         raise FormatError("expected 'alphabet <symbol>...'", ln_alpha)
     alphabet = tuple(alpha[1:])
-    if len(set(alphabet)) != len(alphabet):
-        raise FormatError("alphabet symbols must be distinct", ln_alpha)
+    try:
+        _check_alphabet(alphabet)
+    except ValueError as exc:
+        raise FormatError(str(exc), ln_alpha) from None
     if states_l[0] != "states" or len(states_l) != 2:
         raise FormatError("expected 'states <count>'", ln_states)
     state_count = _int(states_l[1], ln_states)

@@ -15,14 +15,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Dfa, Word, accepts, reachable_states
+from .core import Dfa, Word, _require_same_alphabet, accepts, reachable_states
 from .orthogonality import AmbiguityWitness
 
 
 def factorizations(a: Dfa, b: Dfa, w: str | Iterable[int]) -> list[tuple[Word, Word]]:
     """All splits w = u·v with u in L(a) and v in L(b), shortest u first."""
-    if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabet mismatch: {list(a.alphabet)} vs {list(b.alphabet)}")
+    _require_same_alphabet(a, b)
     word = a.word(w)
     length = len(word)
     prefix_ok = [a.start in a.accepting]
@@ -47,8 +46,7 @@ def brute_force_orthogonal(a: Dfa, b: Dfa, max_len: int) -> AmbiguityWitness | N
 
     ``None`` means no violation exists up to the bound — and nothing more.
     """
-    if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabet mismatch: {list(a.alphabet)} vs {list(b.alphabet)}")
+    _require_same_alphabet(a, b)
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     k = len(a.alphabet)
@@ -65,8 +63,7 @@ def brute_force_orthogonal(a: Dfa, b: Dfa, max_len: int) -> AmbiguityWitness | N
 def factorization_count_table(a: Dfa, b: Dfa, length: int) -> np.ndarray:
     """Number of factorizations of every word of exactly ``length``, in
     lexicographic order over the alphabet (index = base-k word value)."""
-    if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabet mismatch: {list(a.alphabet)} vs {list(b.alphabet)}")
+    _require_same_alphabet(a, b)
     if length < 0:
         raise ValueError("length must be non-negative")
     tables = _count_tables(a, b, length)
@@ -87,6 +84,19 @@ def acceptance_table(d: Dfa, length: int) -> np.ndarray:
         # extending every prefix by one symbol keeps lex order: index = prefix*k + c
         states = delta[states].ravel()
     return acc[states]
+
+
+def enumerate_accepted(d: Dfa, max_len: int) -> list[Word]:
+    """All accepted words of length <= max_len, shortest first, then
+    lexicographic in alphabet order. Brute force; meant for small bounds."""
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+    k = len(d.alphabet)
+    return [
+        _word_at(k, length, index)
+        for length in range(max_len + 1)
+        for index in np.flatnonzero(acceptance_table(d, length)).tolist()
+    ]
 
 
 def _count_tables(a: Dfa, b: Dfa, max_len: int) -> Iterator[np.ndarray]:

@@ -10,11 +10,10 @@ on that NFA's self-product.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .catenation import CatDfa, build_catenation_dfa, build_catenation_nfa, valid_second_components
-from .core import Dfa, Word, format_word
+from .core import Dfa, Word, _bfs_tree, _require_same_alphabet, format_word
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,7 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     nodes share one word), so the first hit is the shortest ambiguous word
     with ties broken in alphabet order; its two runs yield the splits.
     """
-    if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabet mismatch: {list(a.alphabet)} vs {list(b.alphabet)}")
+    _require_same_alphabet(a, b)
     nfa = build_catenation_nfa(a, b)
     k = len(nfa.alphabet)
     acc = nfa.accepting
@@ -159,38 +157,25 @@ def orthogonal_catenation(a: Dfa, b: Dfa) -> CatDfa:
     return build_catenation_dfa(a, b)
 
 
-def _cycle_word(d: Dfa, state: int) -> Word | None:
-    """Shortest nonempty word leading ``state`` back to itself, or None."""
-    parents: dict[int, tuple[int | None, int]] = {}
-    queue: deque[int] = deque()
-    for s in range(len(d.alphabet)):
-        t = d.delta[state][s]
-        if t == state:
-            return (s,)
-        if t not in parents:
-            parents[t] = (None, s)
-            queue.append(t)
-    while queue:
-        q = queue.popleft()
-        for s in range(len(d.alphabet)):
-            t = d.delta[q][s]
-            if t == state:
-                word = [s]
-                node: int | None = q
-                while node is not None:
-                    prev, sym = parents[node]
-                    word.append(sym)
-                    node = prev
-                return tuple(reversed(word))
-            if t not in parents:
-                parents[t] = (q, s)
-                queue.append(t)
+def _cycle_word(d: Dfa, tree: dict[int, tuple[int, int] | None]) -> Word | None:
+    """Shortest nonempty word, ties broken in alphabet order, leading the root
+    of ``tree`` (its breadth-first tree) back to the root, or None. Tree paths
+    are shortest-lex words, so the cycle ends at the first state in discovery
+    order with an edge into the root, on its lowest such symbol."""
+    root = next(iter(tree))
+    for q in tree:
+        if root in d.delta[q]:
+            word = [d.delta[q].index(root)]
+            while (edge := tree[q]) is not None:
+                q, s = edge
+                word.append(s)
+            return tuple(reversed(word))
     return None
 
 
 def check_acyclic_accepting(a: Dfa) -> bool:
     """True iff no accepting state can reach itself on a nonempty word."""
-    return all(_cycle_word(a, f) is None for f in sorted(a.accepting))
+    return all(_cycle_word(a, _bfs_tree(a, f)) is None for f in a.accepting)
 
 
 def acc_order(a: Dfa) -> AccOrder:
@@ -200,21 +185,13 @@ def acc_order(a: Dfa) -> AccOrder:
     not be anti-reflexive, and an :class:`AcceptingCycleError` names the
     offending state and a shortest cycle word.
     """
+    pairs: set[tuple[int, int]] = set()
     for f in sorted(a.accepting):
-        cycle = _cycle_word(a, f)
+        tree = _bfs_tree(a, f)
+        cycle = _cycle_word(a, tree)
         if cycle is not None:
             raise AcceptingCycleError(f, cycle, a.alphabet)
-    pairs: set[tuple[int, int]] = set()
-    for f in a.accepting:
-        seen = {f}
-        frontier = deque([f])
-        while frontier:
-            q = frontier.popleft()
-            for t in a.delta[q]:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        pairs.update((f, g) for g in seen & a.accepting if g != f)
+        pairs.update((f, g) for g in tree.keys() & a.accepting if g != f)
     return AccOrder(frozenset(pairs))
 
 

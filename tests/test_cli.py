@@ -1,9 +1,13 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import orthocat
 from orthocat import (
+    AmbiguityWitness,
     enumerate_accepted,
     general_upper_bound,
     language_equivalent,
@@ -43,6 +47,16 @@ class TestVerify:
     def test_cli_usage_error(self, capsys):
         assert main(["verify", "1", "3"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_oracle_disagreement_is_a_failed_check(self, monkeypatch, capsys):
+        fabricated = AmbiguityWitness((0,), ((), (0,)), ((0,), ()))
+        monkeypatch.setattr("orthocat.cli.brute_force_orthogonal", lambda a, b, n: fabricated)
+        assert main(["verify", "3", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "MISMATCH: orthogonality decision and brute-force scan disagree for (3, 3)\n"
+        )
+        assert captured.err == ""
 
 
 class TestSweep:
@@ -163,12 +177,35 @@ class TestNfaBound:
         assert "certified lower bound: 5" in out
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's orthocat,
+    whether or not the package is installed."""
+    package_parent = str(Path(orthocat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestConsoleScript:
-    def test_installed_entry_point(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "orthocat.cli", "verify", "3", "3"],
-            capture_output=True,
-            text=True,
+    def check_verify_3_3(self, module: str) -> None:
+        result = run_python("-m", module, "verify", "3", "3")
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "minimized=10" in result.stdout
+
+    def test_installed_entry_point(self):
+        self.check_verify_3_3("orthocat.cli")
+
+    def test_package_main(self):
+        self.check_verify_3_3("orthocat")
+
+    def test_package_root_does_not_load_the_cli(self):
+        result = run_python(
+            "-c", "import sys, orthocat; print(sorted({'orthocat.cli', 'argparse'} & set(sys.modules)))"
         )
         assert result.returncode == 0
-        assert "minimized=10" in result.stdout
+        assert result.stdout == "[]\n"

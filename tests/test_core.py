@@ -354,6 +354,12 @@ class TestEnumerateAccepted:
         with pytest.raises(ValueError):
             enumerate_accepted(unary_star_dfa(2), -1)
 
+    def test_matches_word_by_word_scan(self):
+        for d, _ in dfa_pairs(0xE7A0_0001, 60, max_m=4, max_n=1):
+            k = len(d.alphabet)
+            expected = [w for n in range(5) for w in product(range(k), repeat=n) if accepts(d, w)]
+            assert enumerate_accepted(d, 4) == expected
+
 
 class TestExtendAlphabet:
     def test_adds_sink_for_new_symbols(self):

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthocat import Dfa, FormatError, minimize, parse_automaton, serialize_automaton, witness_a, witness_b
 
@@ -100,6 +101,17 @@ class TestParseErrors:
         with pytest.raises(FormatError, match="header"):
             parse_automaton("alphabet a\nstates 1\n")
 
+    def test_bad_alphabet_symbol(self):
+        text = "alphabet \x00\nstates 1\nstart 0\naccepting\n0 \x00 0\n"
+        with pytest.raises(FormatError, match="bad alphabet symbol") as info:
+            parse_automaton(text)
+        assert info.value.line == 1
+
+    def test_duplicate_alphabet_symbol(self):
+        with pytest.raises(FormatError, match="alphabet symbols must be distinct") as info:
+            parse_automaton("alphabet a a\nstates 1\nstart 0\naccepting\n0 a 0\n")
+        assert info.value.line == 1
+
     def test_misordered_headers(self):
         with pytest.raises(FormatError, match="expected 'states"):
             parse_automaton("alphabet a\nstart 0\nstates 1\naccepting\n0 a 0\n")
@@ -112,3 +124,58 @@ class TestComments:
             "start 0", "start 0   # initial state"
         )
         assert parse_automaton(noisy) == witness_b(3)
+
+
+# Tokens that are valid somewhere, plus non-printable, non-integer, huge and
+# comment-starting ones; st.text() adds whitespace and line breaks.
+_TOKENS = st.one_of(
+    st.integers(-1, 3).map(str),
+    st.sampled_from(["a", "b", "0x1", "1.5", "\uff11", "\x00", "\x7f", "\u200b", "#", "9" * 5000]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def automaton_like_text(draw) -> str:
+    """The four header keywords followed by arbitrary tokens, then random
+    transition lines: text that gets past the header far more often than
+    arbitrary text does."""
+    lines = [
+        " ".join([keyword, *draw(st.lists(_TOKENS, max_size=3))])
+        for keyword in ("alphabet", "states", "start", "accepting")
+    ]
+    for _ in range(draw(st.integers(0, 6))):
+        lines.append(" ".join(draw(st.lists(_TOKENS, min_size=2, max_size=4))))
+    return "\n".join(lines)
+
+
+@st.composite
+def mutated_automaton_text(draw) -> str:
+    """A valid file with one token replaced, one token renamed everywhere
+    (a symbol or a state number), or one line dropped or repeated."""
+    lines = [line.split(" ") for line in serialize_automaton(draw(dfa_strategy())).splitlines()]
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(0, len(lines[i]) - 1))
+    edit = draw(st.sampled_from(["replace", "rename", "drop", "repeat"]))
+    if edit == "replace":
+        lines[i][j] = draw(_TOKENS)
+    elif edit == "rename":
+        old, new = lines[i][j], draw(_TOKENS)
+        lines = [[new if token == old else token for token in line] for line in lines]
+    elif edit == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(" ".join(line) for line in lines)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), automaton_like_text(), mutated_automaton_text()))
+    def test_parse_returns_dfa_or_raises_format_error(self, text):
+        try:
+            d = parse_automaton(text)
+        except FormatError:
+            return
+        assert isinstance(d, Dfa)
+        assert parse_automaton(serialize_automaton(d)) == d

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from orthocat import (
@@ -23,7 +25,10 @@ from orthocat import (
 )
 from orthocat.oracle import factorizations
 
+from conftest import dfa_pairs
 from test_catenation import single_word_dfa
+
+CYCLE_CORPUS_SEED = 0x0C1C_0006
 
 
 def sigma_star_dfa(alphabet=("x",)) -> Dfa:
@@ -135,6 +140,69 @@ class TestAccOrder:
     def test_error_names_state_and_word(self):
         with pytest.raises(AcceptingCycleError, match="accepting state 0 returns to itself on x"):
             acc_order(sigma_star_dfa())
+
+
+def brute_force_cycle(d: Dfa, f: int) -> tuple[int, ...] | None:
+    """First nonempty word, shortest then lexicographic, taking f back to f;
+    a shortest cycle is never longer than the state count."""
+    for length in range(1, d.state_count + 1):
+        for word in product(range(len(d.alphabet)), repeat=length):
+            q = f
+            for s in word:
+                q = d.delta[q][s]
+            if q == f:
+                return word
+    return None
+
+
+def brute_force_reach(d: Dfa) -> list[set[int]]:
+    """States reachable from each state on any word, by fixed-point iteration."""
+    reach = [{q} for q in range(d.state_count)]
+    changed = True
+    while changed:
+        changed = False
+        for q, row in enumerate(d.delta):
+            grown = reach[q].union(*(reach[t] for t in row))
+            changed |= grown != reach[q]
+            reach[q] = grown
+    return reach
+
+
+class TestAccOrderAgainstBruteForce:
+    def test_cycle_word_is_shortest_then_lex(self):
+        multi_letter_cycles = 0
+        for d, _ in dfa_pairs(CYCLE_CORPUS_SEED, 1000, max_m=6, max_n=1, max_alphabet=3):
+            for f in range(d.state_count):
+                only_f = Dfa(d.alphabet, d.delta, d.start, frozenset({f}))
+                expected = brute_force_cycle(d, f)
+                assert check_acyclic_accepting(only_f) == (expected is None)
+                if expected is None:
+                    assert acc_order(only_f) == AccOrder(frozenset())
+                    continue
+                with pytest.raises(AcceptingCycleError) as info:
+                    acc_order(only_f)
+                assert (info.value.state, info.value.cycle) == (f, expected)
+                multi_letter_cycles += len(expected) > 1
+        assert multi_letter_cycles > 100
+
+    def test_pairs_are_reachability_among_accepting_states(self):
+        nonempty_orders = 0
+        for d, _ in dfa_pairs(CYCLE_CORPUS_SEED + 1, 300, max_m=6, max_n=1, max_alphabet=3):
+            reach = brute_force_reach(d)
+            on_cycle = {q for q in range(d.state_count) if any(q in reach[t] for t in d.delta[q])}
+            acyclic = frozenset(range(d.state_count)) - on_cycle
+            for accepting in (d.accepting, acyclic):
+                other = Dfa(d.alphabet, d.delta, d.start, accepting)
+                cyclic = sorted(accepting & on_cycle)
+                if cyclic:
+                    with pytest.raises(AcceptingCycleError) as info:
+                        acc_order(other)
+                    assert info.value.state == cyclic[0]
+                    continue
+                expected = {(f, g) for f in accepting for g in reach[f] & accepting if g != f}
+                assert acc_order(other).pairs == expected
+                nonempty_orders += bool(expected)
+        assert nonempty_orders > 20
 
 
 class TestMergingPairs:
