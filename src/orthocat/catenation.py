@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .core import Dfa, Nfa, _require_same_alphabet
 
-# Second-automaton subsets are explored as machine-word bitmasks.
+# Second-automaton subsets are bitmasks held in Python ints, which have no
+# fixed width: the cap is a plain size limit on the second automaton.
 MAX_SECOND_AUTOMATON_STATES = 62
 
 
@@ -135,27 +137,17 @@ def build_catenation_nfa(a: Dfa, b: Dfa) -> Nfa:
     with ``a``'s symbols first, leaving foreign symbols without successors.
     """
     merged = a.alphabet + tuple(s for s in b.alphabet if s not in a.alphabet)
-    col = {name: j for j, name in enumerate(merged)}
-    m, nb = a.state_count, b.state_count
-    rows: list[list[set[int]]] = [[set() for _ in merged] for _ in range(m + nb)]
-    for q in range(m):
-        for s, name in enumerate(a.alphabet):
-            rows[q][col[name]].add(a.delta[q][s])
-    for p in range(nb):
-        for s, name in enumerate(b.alphabet):
-            rows[m + p][col[name]].add(m + b.delta[p][s])
-    for q in a.accepting:
-        for s, name in enumerate(b.alphabet):
-            rows[q][col[name]].add(m + b.delta[b.start][s])
+    b_cols = [merged.index(name) for name in b.alphabet]  # a's columns come first
+    m = a.state_count
+    edges = chain(
+        ((q, s, t) for q, row in enumerate(a.delta) for s, t in enumerate(row)),
+        ((m + p, c, m + t) for p, row in enumerate(b.delta) for c, t in zip(b_cols, row)),
+        ((q, c, m + t) for q in a.accepting for c, t in zip(b_cols, b.delta[b.start])),
+    )
     accepting = {m + p for p in b.accepting}
     if b.start in b.accepting:
-        accepting |= set(a.accepting)
-    return Nfa(
-        alphabet=merged,
-        delta=tuple(tuple(frozenset(cell) for cell in row) for row in rows),
-        initial=frozenset({a.start}),
-        accepting=frozenset(accepting),
-    )
+        accepting |= a.accepting
+    return Nfa.from_edges(merged, m + b.state_count, {a.start}, accepting, edges)
 
 
 def valid_second_components(a: Dfa, b: Dfa, q: int) -> frozenset[frozenset[int]]:

@@ -86,14 +86,7 @@ class Dfa:
 
     def word(self, w: str | Iterable[int]) -> Word:
         """Coerce a string or symbol-index iterable into a validated word."""
-        if isinstance(w, str):
-            return parse_word(self.alphabet, w)
-        word = tuple(w)
-        k = len(self.alphabet)
-        for s in word:
-            if not 0 <= s < k:
-                raise ValueError(f"symbol index {s} out of range for alphabet size {k}")
-        return word
+        return _coerce_word(self.alphabet, w)
 
 
 @dataclass(frozen=True)
@@ -148,12 +141,7 @@ class Nfa:
         rows: list[list[set[int]]] = [[set() for _ in alphabet] for _ in range(state_count)]
         for q, s, r in edges:
             rows[q][s].add(r)
-        return cls(
-            alphabet=tuple(alphabet),
-            delta=tuple(tuple(frozenset(cell) for cell in row) for row in rows),
-            initial=frozenset(initial),
-            accepting=frozenset(accepting),
-        )
+        return cls(alphabet, rows, initial, accepting)
 
 
 def _check_alphabet(names: tuple[str, ...]) -> None:
@@ -166,6 +154,17 @@ def _check_alphabet(names: tuple[str, ...]) -> None:
             raise ValueError(f"bad alphabet symbol {name!r}")
 
 
+def _coerce_word(alphabet: tuple[str, ...], w: str | Iterable[int]) -> Word:
+    if isinstance(w, str):
+        return parse_word(alphabet, w)
+    word = tuple(w)
+    k = len(alphabet)
+    for s in word:
+        if not 0 <= s < k:
+            raise ValueError(f"symbol index {s} out of range for alphabet size {k}")
+    return word
+
+
 def accepts(d: Dfa, w: str | Iterable[int]) -> bool:
     """Decide whether the automaton accepts the word."""
     state = d.start
@@ -176,12 +175,8 @@ def accepts(d: Dfa, w: str | Iterable[int]) -> bool:
 
 def nfa_accepts(n: Nfa, w: str | Iterable[int]) -> bool:
     """Decide membership by direct subset simulation."""
-    word = parse_word(n.alphabet, w) if isinstance(w, str) else tuple(w)
-    k = len(n.alphabet)
     current = n.initial
-    for s in word:
-        if not 0 <= s < k:
-            raise ValueError(f"symbol index {s} out of range for alphabet size {k}")
+    for s in _coerce_word(n.alphabet, w):
         current = frozenset().union(*(n.delta[q][s] for q in current))
     return bool(current & n.accepting)
 
@@ -374,8 +369,8 @@ def extend_alphabet(d: Dfa, alphabet: Sequence[str]) -> Dfa:
     """Re-express the automaton over a superset alphabet.
 
     Symbols are matched by name; genuinely new symbols all lead to a fresh
-    non-accepting sink appended as the last state. Without new symbols the
-    columns are merely reordered.
+    non-accepting sink appended as the last state. Without new symbols no
+    sink is added and the columns are merely reordered.
     """
     names = tuple(alphabet)
     _check_alphabet(names)
@@ -383,13 +378,11 @@ def extend_alphabet(d: Dfa, alphabet: Sequence[str]) -> Dfa:
     if dropped:
         raise ValueError(f"new alphabet drops symbols {dropped}")
     old_index = {name: i for i, name in enumerate(d.alphabet)}
-    if all(name in old_index for name in names):
-        delta = tuple(tuple(row[old_index[name]] for name in names) for row in d.delta)
-        return Dfa(names, delta, d.start, d.accepting)
     sink = d.state_count
     rows = [
         tuple(row[old_index[name]] if name in old_index else sink for name in names)
         for row in d.delta
     ]
-    rows.append(tuple(sink for _ in names))
+    if len(names) > len(d.alphabet):  # nothing is dropped, so some symbol is new
+        rows.append((sink,) * len(names))
     return Dfa(names, tuple(rows), d.start, d.accepting)

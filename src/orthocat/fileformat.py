@@ -124,6 +124,8 @@ def serialize_automaton(d: Dfa) -> str:
 
 def _int(token: str, line: int) -> int:
     try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"expected an integer, got {token!r}", line) from None
+        if token.isascii() and token.isdigit():  # no sign, "_" or non-ASCII digit
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise FormatError(f"expected an integer, got {token!r}", line)

@@ -11,6 +11,7 @@ exponential in the length bound by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -62,14 +63,12 @@ def brute_force_orthogonal(a: Dfa, b: Dfa, max_len: int) -> AmbiguityWitness | N
 
 def factorization_count_table(a: Dfa, b: Dfa, length: int) -> np.ndarray:
     """Number of factorizations of every word of exactly ``length``, in
-    lexicographic order over the alphabet (index = base-k word value)."""
+    lexicographic order over the alphabet (index = base-k word value), as
+    the smallest unsigned integer dtype that holds ``length + 1``."""
     _require_same_alphabet(a, b)
     if length < 0:
         raise ValueError("length must be non-negative")
-    tables = _count_tables(a, b, length)
-    for _ in range(length):
-        next(tables)
-    return next(tables)
+    return next(islice(_count_tables(a, b, length), length, None))
 
 
 def acceptance_table(d: Dfa, length: int) -> np.ndarray:
@@ -77,8 +76,7 @@ def acceptance_table(d: Dfa, length: int) -> np.ndarray:
     if length < 0:
         raise ValueError("length must be non-negative")
     delta = np.array(d.delta, dtype=np.int64)
-    acc = np.zeros(d.state_count, dtype=bool)
-    acc[list(d.accepting)] = True
+    acc = np.array([q in d.accepting for q in range(d.state_count)])
     states = np.array([d.start], dtype=np.int64)
     for _ in range(length):
         # extending every prefix by one symbol keeps lex order: index = prefix*k + c
@@ -105,35 +103,25 @@ def _count_tables(a: Dfa, b: Dfa, max_len: int) -> Iterator[np.ndarray]:
 
     Level j is computed from level j-1 by sharing suffixes: suffix_acc[p, y]
     says whether b started in p accepts suffix y, and splits[q, y] counts the
-    factorization points inside y when a enters it in state q (the word
-    index of c·y' is c*k^(j-1) + y', so the first symbol is the most
-    significant digit and array order is lex order).
+    factorization points inside y when a enters it in state q. One gather
+    per side extends every suffix by a first symbol c, and the reshape puts
+    c·y' at index c*k^(j-1) + y' (the first symbol is the most significant
+    digit, so array order is lex order), as in ``acceptance_table``. A word
+    of length L has at most L + 1 split points, so the counts' dtype is the
+    smallest unsigned one that holds max_len + 1.
     """
-    k = len(a.alphabet)
     m, nb = a.state_count, b.state_count
     a_delta = np.array(a.delta, dtype=np.int64)
     b_delta = np.array(b.delta, dtype=np.int64)
-    a_acc = np.zeros(m, dtype=bool)
-    a_acc[list(a.accepting)] = True
-
-    suffix_acc = np.zeros((nb, 1), dtype=bool)
-    suffix_acc[list(b.accepting)] = True
-    splits = np.zeros((m, 1), dtype=np.int16)
-    if suffix_acc[b.start, 0]:  # the empty suffix is in L(b)
-        splits[a_acc, 0] = 1
+    a_acc = np.array([q in a.accepting for q in range(m)])
+    suffix_acc = np.array([[p in b.accepting] for p in range(nb)])
+    splits = np.zeros((m, 1), dtype=np.min_scalar_type(max_len + 1))
+    splits[a_acc] += suffix_acc[b.start]  # one split if the empty suffix is in L(b)
     yield splits[a.start].copy()
-    for j in range(1, max_len + 1):
-        width = k ** (j - 1)
-        new_suffix = np.empty((nb, width * k), dtype=bool)
-        for c in range(k):
-            new_suffix[:, c * width : (c + 1) * width] = suffix_acc[b_delta[:, c], :]
-        new_splits = np.empty((m, width * k), dtype=np.int16)
-        for q in range(m):
-            for c in range(k):
-                new_splits[q, c * width : (c + 1) * width] = splits[a_delta[q, c], :]
-            if a_acc[q]:
-                new_splits[q] += new_suffix[b.start]
-        suffix_acc, splits = new_suffix, new_splits
+    for _ in range(max_len):
+        suffix_acc = suffix_acc[b_delta].reshape(nb, -1)
+        splits = splits[a_delta].reshape(m, -1)
+        splits[a_acc] += suffix_acc[b.start]
         yield splits[a.start].copy()
 
 

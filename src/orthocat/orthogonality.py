@@ -95,12 +95,9 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     start: Node = (a.start, a.start, False)
     parents: dict[Node, tuple[Node, int] | None] = {start: None}
     frontier: list[list[Node]] = [[start]]  # groups share a word, in lex order
-    hit: Node | None = None
-    while frontier and hit is None:
+    while frontier:
         next_frontier: list[list[Node]] = []
         for group in frontier:
-            if hit is not None:
-                break
             for sym in range(k):
                 fresh: list[Node] = []
                 for s, t, diverged in group:
@@ -116,24 +113,24 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
                 fresh.sort()
                 for node in fresh:
                     if node[2] and node[0] in acc and node[1] in acc:
-                        hit = node
-                        break
-                if hit is not None:
-                    break
+                        return OrthogonalityVerdict(_witness(node, parents, a.state_count))
                 next_frontier.append(fresh)
         frontier = next_frontier
-    if hit is None:
-        return OrthogonalityVerdict(None)
+    return OrthogonalityVerdict(None)
 
-    chain = [hit]
-    while parents[chain[-1]] is not None:
-        chain.append(parents[chain[-1]][0])  # type: ignore[index]
+
+def _witness(hit: tuple[int, int, bool], parents: dict, m: int) -> AmbiguityWitness:
+    """The word on the parent chain of ``hit`` and the splits of its two runs."""
+    chain, symbols = [hit], []
+    while (edge := parents[chain[-1]]) is not None:
+        chain.append(edge[0])
+        symbols.append(edge[1])
     chain.reverse()
-    word = tuple(parents[chain[i + 1]][1] for i in range(len(chain) - 1))  # type: ignore[index]
-    first = _split_of([n[0] for n in chain], word, a.state_count)
-    second = _split_of([n[1] for n in chain], word, a.state_count)
+    word = tuple(reversed(symbols))
+    first = _split_of([n[0] for n in chain], word, m)
+    second = _split_of([n[1] for n in chain], word, m)
     split1, split2 = sorted((first, second), key=lambda sp: len(sp[0]))
-    return OrthogonalityVerdict(AmbiguityWitness(word, split1, split2))
+    return AmbiguityWitness(word, split1, split2)
 
 
 def _split_of(run: list[int], word: Word, m: int) -> tuple[Word, Word]:

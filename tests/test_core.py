@@ -287,6 +287,14 @@ class TestNfaConstruction:
         assert nfa_accepts(n, "a") and nfa_accepts(n, "ab")
         assert not nfa_accepts(n, "b")
 
+    def test_word_checks_match_dfa(self):
+        n = Nfa.from_edges(("a", "b"), 1, initial={0}, accepting={0}, edges=[(0, 0, 0)])
+        for bad, message in (("ac", "symbol 'c' not in alphabet"), ((0, 2), "symbol index 2 out of range")):
+            with pytest.raises(ValueError, match=message):
+                nfa_accepts(n, bad)
+            with pytest.raises(ValueError, match=message):
+                Dfa(("a", "b"), ((0, 0),), 0, frozenset()).word(bad)
+
     def test_rejects_out_of_range_successor(self):
         with pytest.raises(ValueError, match="out of range"):
             Nfa.from_edges(("a",), 2, initial={0}, accepting=set(), edges=[(0, 0, 5)])

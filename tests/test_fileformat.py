@@ -97,6 +97,21 @@ class TestParseErrors:
         with pytest.raises(FormatError, match="expected an integer"):
             parse_automaton(text)
 
+    def test_non_ascii_digits_sign_and_underscore(self):
+        text = "alphabet a\nstates \uff12\nstart +0\naccepting 0_1\n0 a 1\n1 a \u0660\n"
+        with pytest.raises(FormatError, match="expected an integer"):
+            parse_automaton(text)
+
+    @pytest.mark.parametrize("token", ["+0", "0_1", "\uff12", "\u0660", "-0"])
+    def test_only_ascii_digit_integers(self, token):
+        text = "alphabet a\nstates 2\nstart 0\naccepting 1\n0 a 1\n1 a 0\n"
+        assert parse_automaton(text).state_count == 2
+        for old in ("states 2", "start 0", "accepting 1", "1 a 0"):
+            bad = text.replace(old, old[:-1] + token, 1)
+            with pytest.raises(FormatError, match="expected an integer, got") as info:
+                parse_automaton(bad)
+            assert info.value.line == text.splitlines().index(old) + 1
+
     def test_missing_headers(self):
         with pytest.raises(FormatError, match="header"):
             parse_automaton("alphabet a\nstates 1\n")

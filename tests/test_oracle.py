@@ -85,6 +85,11 @@ class TestCountTables:
                 ]
                 assert list(table) == direct
 
+    def test_counts_do_not_wrap(self):
+        # every split point of a^32767 counts; a 16-bit signed count wrapped
+        a = Dfa(("a",), ((0,),), 0, frozenset({0}))
+        assert factorization_count_table(a, a, 32767).tolist() == [32768]
+
     def test_acceptance_table_matches_accepts(self, ortho_corpus):
         from orthocat import accepts
 

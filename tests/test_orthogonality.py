@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -6,9 +7,12 @@ from orthocat import (
     AcceptingCycleError,
     AccOrder,
     Dfa,
+    Nfa,
     NotOrthogonalError,
     accepts,
     acc_order,
+    build_catenation_nfa,
+    determinize,
     check_acyclic_accepting,
     dead_states,
     enumerate_accepted,
@@ -23,7 +27,7 @@ from orthocat import (
     witness_a,
     witness_b,
 )
-from orthocat.oracle import factorizations
+from orthocat.oracle import brute_force_orthogonal, factorization_count_table, factorizations
 
 from conftest import dfa_pairs
 from test_catenation import single_word_dfa
@@ -273,3 +277,65 @@ class TestStructuralFilters:
         assert not dead_states(b)
         assert not check_acyclic_accepting(a)
         assert check_acyclic_accepting(minimize(a))
+
+
+def _affix_dfa(word: str, alphabet: tuple[str, ...], prefixes: bool) -> Dfa:
+    """All prefixes, or all suffixes, of ``word``; for a word of distinct
+    letters, prefixes times suffixes first turns ambiguous at the word
+    itself, which then factors len(word) + 1 ways."""
+    positions = range(len(word) + 1)
+    edges = [(i, alphabet.index(c), i + 1) for i, c in enumerate(word)]
+    initial, accepting = ({0}, positions) if prefixes else (positions, {len(word)})
+    return determinize(Nfa.from_edges(alphabet, len(word) + 1, initial, accepting, edges))
+
+
+def _reversed_states(d: Dfa) -> Dfa:
+    last = d.state_count - 1
+    rows = tuple(tuple(last - t for t in row) for row in reversed(d.delta))
+    return Dfa(d.alphabet, rows, last - d.start, frozenset(last - q for q in d.accepting))
+
+
+def _witness_key(w):
+    return None if w is None else (w.word, w.split1, w.split2)
+
+
+def _nfa_key(n):
+    cells = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in n.delta)
+    return n.alphabet, cells, sorted(n.initial), sorted(n.accepting)
+
+
+class TestStagePinned:
+    """Everything the orthogonality stage reports, hashed and pinned: the
+    decision's word and both splits, the brute-force scan, the catenation
+    NFA and the factorization counts. The digest was computed from the code
+    before its NFA builder, ambiguity search and count tables were slimmed
+    down, a rewrite that had to leave every one of these results alone."""
+
+    def test_results_are_pinned(self, ortho_corpus):
+        results = []
+        # several splits at the shortest ambiguous word, so the two reported
+        # depend on which product node the search meets first
+        alphabet, words = ("a", "b", "c", "d"), ["ab", "abc", "bca", "abcd", "dcba", "abab", "aab"]
+        affixes = [
+            (number(_affix_dfa(u, alphabet, True)), number(_affix_dfa(v, alphabet, False)))
+            for u, v in product(words, repeat=2)
+            for number in (lambda d: d, _reversed_states)
+        ]
+        for a, b in [*ortho_corpus, *affixes, (witness_b(20), witness_a(20))]:
+            results.append((
+                _witness_key(is_orthogonal(a, b).witness),
+                _witness_key(brute_force_orthogonal(a, b, 8)),
+                _nfa_key(build_catenation_nfa(a, b)),
+                [factorization_count_table(a, b, n).tolist() for n in (0, 3, 5)],
+            ))
+        # up to six states: the first ambiguous nodes of some of these pairs
+        # come out in another order unsorted, with other splits
+        wide = dfa_pairs(2, 1000, max_m=6, max_n=6)
+        results += [_witness_key(is_orthogonal(a, b).witness) for a, b in wide]
+        # alphabets that differ: disjoint unary ones, and corpus automata
+        # over one, two or three letters crossed with each other
+        mixed = [(unary_star_dfa(m, "a"), unary_star_dfa(n, "b")) for m in range(1, 5) for n in range(1, 5)]
+        mixed += [(a, b) for (a, _), (_, b) in zip(ortho_corpus[:200], ortho_corpus[200:400])]
+        results += [_nfa_key(build_catenation_nfa(a, b)) for a, b in mixed]
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == "d3be07164415094072cce00f4bfba71a25ca276c18d8bb032137c06db67445ce"
