@@ -9,10 +9,9 @@ parse, or I/O errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .catenation import build_catenation_dfa, build_catenation_nfa, orthogonal_upper_bound
@@ -42,6 +41,11 @@ class SweepRow:
     minimized: int
     orthogonal: bool
     elapsed_ms: int
+
+
+def _cells(row: SweepRow) -> list[str]:
+    """A row's values in field order, the verdict as ``true``/``false``."""
+    return [("true" if v else "false") if isinstance(v, bool) else str(v) for v in astuple(row)]
 
 
 class OracleDisagreement(RuntimeError):
@@ -93,21 +97,8 @@ def cmd_sweep(m_max: int, n_max: int, out: str | Path) -> list[SweepRow]:
         for m in range(3, m_max + 1)
         for n in range(3, n_max + 1)
     ]
-    with open(out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow(
-                [
-                    row.m,
-                    row.n,
-                    row.predicted,
-                    row.constructed,
-                    row.minimized,
-                    "true" if row.orthogonal else "false",
-                    row.elapsed_ms,
-                ]
-            )
+    lines = [CSV_HEADER, *(",".join(_cells(row)) for row in rows)]
+    Path(out).write_text("\n".join(lines) + "\n", newline="")
     return rows
 
 
@@ -141,11 +132,7 @@ def cmd_ortho(file_a: str | Path, file_b: str | Path) -> int:
 
 
 def _row_line(row: SweepRow) -> str:
-    flag = "true" if row.orthogonal else "false"
-    return (
-        f"m={row.m} n={row.n} predicted={row.predicted} constructed={row.constructed} "
-        f"minimized={row.minimized} orthogonal={flag} elapsed_ms={row.elapsed_ms}"
-    )
+    return " ".join(f"{name}={cell}" for name, cell in zip(CSV_HEADER.split(","), _cells(row)))
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -16,6 +16,17 @@ import numpy as np
 
 Word = tuple[int, ...]
 
+# How many characters of an input an error message quotes; an oversized
+# symbol or alphabet must not make a huge message.
+_QUOTED_CHARS = 100
+
+
+def _clip(text: str) -> str:
+    """``text`` for an error message: at most ``_QUOTED_CHARS`` characters,
+    then how many were cut."""
+    cut = len(text) - _QUOTED_CHARS
+    return text if cut <= 0 else f"{text[:_QUOTED_CHARS]}... ({cut} more characters)"
+
 
 def parse_word(alphabet: Sequence[str], text: str) -> Word:
     """Turn a string into a word, one character per symbol name.
@@ -27,7 +38,7 @@ def parse_word(alphabet: Sequence[str], text: str) -> Word:
     word = []
     for ch in text:
         if ch not in index:
-            raise ValueError(f"symbol {ch!r} not in alphabet {list(alphabet)}")
+            raise ValueError(f"symbol {ch!r} not in alphabet {_clip(str(list(alphabet)))}")
         word.append(index[ch])
     return tuple(word)
 
@@ -72,7 +83,8 @@ class Dfa:
             for s, target in enumerate(row):
                 if not 0 <= target < n:
                     raise ValueError(
-                        f"transition ({q}, {self.alphabet[s]}) targets invalid state {target}"
+                        f"transition ({q}, {_clip(self.alphabet[s])}) "
+                        f"targets invalid state {target}"
                     )
         if not 0 <= self.start < n:
             raise ValueError(f"start state {self.start} out of range for {n} states")
@@ -151,7 +163,7 @@ def _check_alphabet(names: tuple[str, ...]) -> None:
         raise ValueError("alphabet symbols must be distinct")
     for name in names:
         if not name or not name.isprintable() or any(c.isspace() for c in name):
-            raise ValueError(f"bad alphabet symbol {name!r}")
+            raise ValueError(f"bad alphabet symbol {_clip(repr(name))}")
 
 
 def _coerce_word(alphabet: tuple[str, ...], w: str | Iterable[int]) -> Word:
@@ -183,7 +195,8 @@ def nfa_accepts(n: Nfa, w: str | Iterable[int]) -> bool:
 
 def _require_same_alphabet(a: Dfa, b: Dfa) -> None:
     if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabet mismatch: {list(a.alphabet)} vs {list(b.alphabet)}")
+        shown_a, shown_b = (_clip(str(list(d.alphabet))) for d in (a, b))
+        raise ValueError(f"alphabet mismatch: {shown_a} vs {shown_b}")
 
 
 def _bfs_tree(d: Dfa, root: int) -> dict[int, tuple[int, int] | None]:
@@ -376,7 +389,7 @@ def extend_alphabet(d: Dfa, alphabet: Sequence[str]) -> Dfa:
     _check_alphabet(names)
     dropped = [s for s in d.alphabet if s not in names]
     if dropped:
-        raise ValueError(f"new alphabet drops symbols {dropped}")
+        raise ValueError(f"new alphabet drops symbols {_clip(str(dropped))}")
     old_index = {name: i for i, name in enumerate(d.alphabet)}
     sink = d.state_count
     rows = [

@@ -14,14 +14,15 @@ Tokens are whitespace-separated, ``#`` starts a comment, blank lines are
 ignored. The four header lines come first in this exact order, followed by
 exactly ``states × |alphabet|`` transition lines; duplicates and missing
 pairs are rejected. Serialization is canonical (transitions sorted by state
-then symbol index), so equal automata produce byte-identical text.
+then symbol index), so equal automata produce byte-identical text. Symbol
+names contain neither whitespace nor ``#``.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-from .core import Dfa, _check_alphabet
+from .core import Dfa, _check_alphabet, _clip
 
 # How many missing (state, symbol) pairs an error names; it gives the count
 # of the rest, so a huge declared state count cannot produce a huge message.
@@ -80,20 +81,20 @@ def parse_automaton(text: str) -> Dfa:
             raise FormatError("expected '<state> <symbol> <state>'", number)
         q = _int(tokens[0], number)
         if tokens[1] not in symbol_index:
-            raise FormatError(f"unknown symbol {tokens[1]!r}", number)
+            raise FormatError(f"unknown symbol {_clip(repr(tokens[1]))}", number)
         s = symbol_index[tokens[1]]
         target = _int(tokens[2], number)
         for state in (q, target):
             if not 0 <= state < state_count:
                 raise FormatError(f"state {state} out of range (states {state_count})", number)
         if (q, s) in table:
-            raise FormatError(f"duplicate transition for ({q}, {tokens[1]})", number)
+            raise FormatError(f"duplicate transition for ({q}, {_clip(tokens[1])})", number)
         table[(q, s)] = target
 
     missing = state_count * len(alphabet) - len(table)
     if missing:
         gaps = (
-            f"({q}, {name})"
+            f"({q}, {_clip(name)})"
             for q in range(state_count)
             for s, name in enumerate(alphabet)
             if (q, s) not in table
@@ -109,7 +110,14 @@ def parse_automaton(text: str) -> Dfa:
 
 
 def serialize_automaton(d: Dfa) -> str:
-    """Canonical text for a DFA; ``parse_automaton`` round-trips it exactly."""
+    """Canonical text for a DFA; ``parse_automaton`` round-trips it exactly.
+
+    Raises ``ValueError`` for a symbol name containing ``#``, which the
+    format would read as the start of a comment.
+    """
+    for name in d.alphabet:
+        if "#" in name:
+            raise ValueError(f"symbol {_clip(repr(name))} contains '#', which starts a comment")
     lines = [
         "alphabet " + " ".join(d.alphabet),
         f"states {d.state_count}",
@@ -128,4 +136,4 @@ def _int(token: str, line: int) -> int:
             return int(token)
     except ValueError:  # more digits than int() converts
         pass
-    raise FormatError(f"expected an integer, got {token!r}", line)
+    raise FormatError(f"expected an integer, got {_clip(repr(token))}", line)

@@ -134,12 +134,11 @@ def _witness(hit: tuple[int, int, bool], parents: dict, m: int) -> AmbiguityWitn
 
 
 def _split_of(run: list[int], word: Word, m: int) -> tuple[Word, Word]:
-    """Factorization encoded by an accepting run: the prefix read before the
-    run crosses from the first automaton's states into the second's."""
-    for i in range(len(run) - 1):
-        if run[i] < m <= run[i + 1]:
-            return word[:i], word[i:]
-    return word, ()
+    """Factorization encoded by an accepting run. The catenation NFA has no
+    edge from the second automaton's states (m and up) back to the first's,
+    so the run's states below m are exactly its first ``len(prefix) + 1``."""
+    i = sum(q < m for q in run) - 1
+    return word[:i], word[i:]
 
 
 def orthogonal_catenation(a: Dfa, b: Dfa) -> CatDfa:
@@ -215,8 +214,4 @@ def forbidden_second_component_states(a: Dfa, b: Dfa, q: int) -> frozenset[int]:
     second automaton are guaranteed a nonempty set for any q that can still
     reach an accepting state, while arbitrary pairs promise nothing.
     """
-    family = valid_second_components(a, b, q)
-    used: set[int] = set()
-    for component in family:
-        used |= component
-    return frozenset(range(b.state_count)) - used
+    return frozenset(range(b.state_count)).difference(*valid_second_components(a, b, q))

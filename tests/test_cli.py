@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from orthocat import (
     witness_a,
     witness_b,
 )
-from orthocat.cli import CSV_HEADER, cmd_sweep, cmd_verify, main
+from orthocat.cli import CSV_HEADER, SweepRow, cmd_sweep, cmd_verify, main
 from orthocat.fileformat import serialize_automaton as dump
 
 from test_catenation import single_word_dfa
@@ -47,6 +48,19 @@ class TestVerify:
     def test_cli_usage_error(self, capsys):
         assert main(["verify", "1", "3"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_cli_rejects_non_positive_argument(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "0", "3"])
+        assert info.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_cli_bound_mismatch_is_a_failed_check(self, monkeypatch, capsys):
+        monkeypatch.setattr("orthocat.cli.orthogonal_upper_bound", lambda m, n: 0)
+        assert main(["verify", "3", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("m=3 n=3 predicted=0 constructed=20 minimized=10 orthogonal=true ")
+        assert lines[1:] == ["MISMATCH: minimized size differs from the predicted bound"]
 
     def test_oracle_disagreement_is_a_failed_check(self, monkeypatch, capsys):
         fabricated = AmbiguityWitness((0,), ((), (0,)), ((0,), ()))
@@ -91,6 +105,21 @@ class TestSweep:
     def test_unwritable_path(self, tmp_path):
         assert main(["sweep", "3", "3", "--out", str(tmp_path / "nodir" / "x.csv")]) == 2
 
+    def test_cli_writes_rows(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "3", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 rows to {out}\n"
+        assert out.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_cli_bound_mismatch_is_a_failed_check(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("orthocat.cli.orthogonal_upper_bound", lambda m, n: 0)
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "3", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().out == f"wrote 2 rows to {out}\nMISMATCH in 2 rows\n"
+
+    def test_header_names_the_row_fields(self):
+        assert CSV_HEADER.split(",") == [f.name for f in dataclasses.fields(SweepRow)]
+
 
 class TestOrtho:
     def test_witness_files_are_orthogonal(self, tmp_path, capsys):
@@ -123,6 +152,47 @@ class TestOrtho:
         argv = [str(f) if arg == "FILE" else arg for arg in command]
         assert main(argv) == 2
         assert "not UTF-8 text (byte 0)" in capsys.readouterr().err
+
+
+BIG = "x" * 1_000_000
+ONE_STATE = "states 1\nstart 0\naccepting 0\n"
+
+
+def wide_alphabet_file(k: int) -> str:
+    names = [f"s{i}" for i in range(k)]
+    return f"alphabet {' '.join(names)}\n{ONE_STATE}" + "".join(f"0 {s} 0\n" for s in names)
+
+
+class TestBoundedErrors:
+    """An oversized token or alphabet gives a short message, not megabytes."""
+
+    @pytest.mark.parametrize(
+        "command,files",
+        [
+            pytest.param(["min"], [f"alphabet a\n{ONE_STATE}0 {BIG} 0\n"], id="unknown-symbol"),
+            pytest.param(
+                ["min"], [f"alphabet a\nstates {'1' * 1_000_000}\nstart 0\naccepting 0\n0 a 0\n"],
+                id="integer",
+            ),
+            pytest.param(["min"], [f"alphabet {chr(1) * 1_000_000}\n{ONE_STATE}"], id="alphabet-symbol"),
+            pytest.param(
+                ["ortho"], [wide_alphabet_file(50_000), wide_alphabet_file(1)], id="alphabet-mismatch"
+            ),
+            pytest.param(
+                ["min"], [f"alphabet {BIG}\n{ONE_STATE}0 {BIG} 0\n0 {BIG} 0\n"], id="duplicate-transition"
+            ),
+            pytest.param(["min"], [f"alphabet a {BIG}\n{ONE_STATE}0 a 0\n"], id="missing-transition"),
+        ],
+    )
+    def test_exit_2_with_short_stderr(self, tmp_path, capsys, command, files):
+        paths = []
+        for i, text in enumerate(files):
+            paths.append(tmp_path / f"{i}.dfa")
+            paths[-1].write_text(text)
+        assert main(command + [str(p) for p in paths]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "more characters)" in err
+        assert len(err.encode()) < 1024
 
 
 class TestFileSubcommands:

@@ -60,6 +60,10 @@ class TestWords:
 
 
 class TestConstruction:
+    def test_rejects_zero_states(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            Dfa(("a",), (), 0, frozenset())
+
     def test_rejects_incomplete_row(self):
         with pytest.raises(ValueError, match="expected 2 transitions"):
             Dfa(("a", "b"), ((0,),), 0, frozenset())
@@ -298,6 +302,19 @@ class TestNfaConstruction:
     def test_rejects_out_of_range_successor(self):
         with pytest.raises(ValueError, match="out of range"):
             Nfa.from_edges(("a",), 2, initial={0}, accepting=set(), edges=[(0, 0, 5)])
+
+    @pytest.mark.parametrize(
+        "delta,initial,message",
+        [
+            ((), {0}, "at least one state"),
+            (((frozenset(),),), {0}, "state 0: expected 2 successor sets"),
+            (((frozenset(), frozenset()),), {1}, "state 1 out of range for 1 states"),
+        ],
+        ids=["zero-states", "short-row", "initial-out-of-range"],
+    )
+    def test_rejects_malformed(self, delta, initial, message):
+        with pytest.raises(ValueError, match=message):
+            Nfa(("a", "b"), delta, frozenset(initial), frozenset())
 
 
 class TestDeterminize:

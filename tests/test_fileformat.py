@@ -32,6 +32,11 @@ class TestRoundTrip:
         assert "accepting\n" in text
         assert parse_automaton(text) == d
 
+    def test_symbol_with_comment_sign_is_refused(self):
+        d = Dfa(("a", "x#y"), ((0, 0),), 0, frozenset({0}))
+        with pytest.raises(ValueError, match="symbol 'x#y' contains '#'"):
+            serialize_automaton(d)
+
 
 class TestSerializeLayout:
     def test_header_order(self):
@@ -102,7 +107,9 @@ class TestParseErrors:
         with pytest.raises(FormatError, match="expected an integer"):
             parse_automaton(text)
 
-    @pytest.mark.parametrize("token", ["+0", "0_1", "\uff12", "\u0660", "-0"])
+    @pytest.mark.parametrize(
+        "token", ["+0", "0_1", "\uff12", "\u0660", "-0", pytest.param("9" * 5000, id="5000-digits")]
+    )
     def test_only_ascii_digit_integers(self, token):
         text = "alphabet a\nstates 2\nstart 0\naccepting 1\n0 a 1\n1 a 0\n"
         assert parse_automaton(text).state_count == 2
@@ -111,6 +118,16 @@ class TestParseErrors:
             with pytest.raises(FormatError, match="expected an integer, got") as info:
                 parse_automaton(bad)
             assert info.value.line == text.splitlines().index(old) + 1
+
+    def test_zero_states(self):
+        with pytest.raises(FormatError, match="state count must be positive") as info:
+            parse_automaton("alphabet a\nstates 0\nstart 0\naccepting\n")
+        assert info.value.line == 2
+
+    def test_transition_target_out_of_range(self):
+        text = self.witness_text().replace("1 c 0", "1 c 7")
+        with pytest.raises(FormatError, match=r"^line 11: state 7 out of range \(states 3\)$"):
+            parse_automaton(text)
 
     def test_missing_headers(self):
         with pytest.raises(FormatError, match="header"):
