@@ -11,12 +11,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import Iterable
 
-from .core import Dfa, Nfa, _require_same_alphabet
+import numpy as np
+
+from .core import Dfa, Nfa, _accepting_flags, _bfs_levels, _Frozen, _require_same_alphabet
 
 # Second-automaton subsets are bitmasks held in Python ints, which have no
 # fixed width: the cap is a plain size limit on the second automaton.
 MAX_SECOND_AUTOMATON_STATES = 62
+
+# The dense build costs tens of microseconds a BFS level however few states
+# the level holds, so it only pays on wide levels: the dict loop hands a pair
+# over once more than this many found states wait in its queue. A deep,
+# narrow automaton never gets there; of 33,048 random pairs of up to six
+# states and three letters, none did.
+_DENSE_MIN_QUEUE = 64
+# The dense build indexes all m * 2**n keys of an (m, n) pair in one array;
+# it runs while that index and its step table (8 bytes a cell, (m + k) *
+# 2**n cells for k letters) stay within this many cells, 128 MB.
+_DENSE_MAX_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -28,26 +42,57 @@ class CatState:
     b_subset: frozenset[int]
 
 
-@dataclass(frozen=True)
-class CatDfa:
+class CatDfa(_Frozen):
     """Catenation DFA together with the construction key of every state.
 
     ``keys[i]`` is ``(q, mask)``: state i tracks first-automaton state q and
-    the second-automaton states whose bits are set in ``mask``.
+    the second-automaton states whose bits are set in ``mask``. The dense
+    build stores the keys packed as ``q << n | mask`` in one int64 array,
+    with n the second automaton's state count, and the pairs are decoded on
+    first access.
     """
 
     dfa: Dfa
-    keys: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", tuple(self.keys))
-        if len(self.keys) != self.dfa.state_count:
+    def __init__(self, dfa: Dfa, keys: Iterable[tuple[int, int]]) -> None:
+        keys = tuple(keys)
+        if len(keys) != dfa.state_count:
             raise ValueError("exactly one key per state is required")
+        object.__setattr__(self, "dfa", dfa)
+        object.__setattr__(self, "keys", keys)
+
+    @classmethod
+    def _packed(cls, dfa: Dfa, codes: np.ndarray, shift: int) -> "CatDfa":
+        """The keys given packed, ``codes[i] = q << shift | mask``."""
+        codes.flags.writeable = False
+        cat = cls.__new__(cls)
+        object.__setattr__(cat, "dfa", dfa)
+        object.__setattr__(cat, "_codes", codes)
+        object.__setattr__(cat, "_shift", shift)
+        return cat
+
+    @cached_property
+    def keys(self) -> tuple[tuple[int, int], ...]:
+        """The ``(q, mask)`` pairs, decoded from the packed keys on first access."""
+        shift = self._shift
+        low = (1 << shift) - 1
+        return tuple((code >> shift, code & low) for code in self._codes.tolist())
 
     @cached_property
     def labels(self) -> tuple[CatState, ...]:
         """The keys decoded into labels, one per state; built on first access."""
         return tuple(CatState(q, _mask_members(mask)) for q, mask in self.keys)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CatDfa):
+            return NotImplemented
+        return (self.dfa, self.keys) == (other.dfa, other.keys)
+
+    def __hash__(self) -> int:
+        return hash((self.dfa, self.keys))
+
+    def __repr__(self) -> str:
+        return f"CatDfa(dfa={self.dfa!r}, keys={self.keys!r})"
 
 
 def _mask_members(mask: int) -> frozenset[int]:
@@ -82,6 +127,12 @@ def build_catenation_dfa(a: Dfa, b: Dfa) -> CatDfa:
     set. The start label is (a.start, {}) — except that when the empty word
     is already in L(a) it must be (a.start, {b.start}), since the transition
     rule only spawns runs on moves and would otherwise lose ε·L(b).
+
+    States are numbered breadth-first, symbols in alphabet order. A dict
+    loop builds the automaton; once more than ``_DENSE_MIN_QUEUE`` found
+    states wait in its queue, the build starts over on numpy tables indexed
+    by every possible label, if those fit ``_DENSE_MAX_CELLS``. Both give
+    the same automaton.
     """
     _require_same_alphabet(a, b)
     nb = b.state_count
@@ -90,7 +141,16 @@ def build_catenation_dfa(a: Dfa, b: Dfa) -> CatDfa:
             f"second automaton has {nb} states; bitmask subsets support at most "
             f"{MAX_SECOND_AUTOMATON_STATES}"
         )
-    k = len(a.alphabet)
+    if (a.state_count + len(a.alphabet)) << nb > _DENSE_MAX_CELLS:
+        return _build_loop(a, b)
+    return _build_loop(a, b, _DENSE_MIN_QUEUE) or _build_dense(a, b)
+
+
+def _build_loop(a: Dfa, b: Dfa, limit: int | None = None) -> CatDfa | None:
+    """``build_catenation_dfa`` by a dict-indexed BFS over (q, mask) keys;
+    None as soon as more than ``limit`` found states wait in the queue, if
+    a limit is given."""
+    nb, k = b.state_count, len(a.alphabet)
     image = [[1 << b.delta[p][s] for p in range(nb)] for s in range(k)]
     # step[s][mask]: the b-states that mask moves to on s. A mask recurs
     # with many first components, so each is worked out once per symbol.
@@ -122,9 +182,36 @@ def build_catenation_dfa(a: Dfa, b: Dfa) -> CatDfa:
                 keys.append(key)
             row.append(target)
         rows.append(tuple(row))
+        if limit is not None and len(keys) - len(rows) > limit:
+            return None
     accepting = frozenset(i for i, (_, mask) in enumerate(keys) if mask & fb_mask)
     dfa = Dfa(alphabet=a.alphabet, delta=tuple(rows), start=0, accepting=accepting)
     return CatDfa(dfa, tuple(keys))
+
+
+def _build_dense(a: Dfa, b: Dfa) -> CatDfa:
+    """``build_catenation_dfa`` on numpy tables: a state's key is
+    ``q << n | mask`` (n = b's state count), an index into the dense range
+    of all ``m << n`` keys, and ``_bfs_levels`` numbers the reachable ones."""
+    nb = b.state_count
+    # step[mask, s]: the b-states that mask moves to on s, by doubling: the
+    # masks with top bit p are those below 2**p plus state p
+    step = np.zeros((1 << nb, len(a.alphabet)), dtype=np.int64)
+    for p, row in enumerate(b._table):
+        step[1 << p : 2 << p] = step[: 1 << p] | 1 << row
+    # spawn[q]: the bit a move into q adds, b's start state iff q accepts
+    spawn = np.where(_accepting_flags(a), 1 << b.start, 0)
+    a_table, low = a._table, (1 << nb) - 1
+
+    def successors(keys: np.ndarray) -> np.ndarray:
+        targets = a_table[keys >> nb]
+        return targets << nb | step[keys & low] | spawn[targets]
+
+    start = a.start << nb | int(spawn[a.start])
+    keys, rows = _bfs_levels(start, a.state_count << nb, successors)
+    fb_mask = sum(1 << p for p in b.accepting)
+    accepting = np.flatnonzero(keys & fb_mask).tolist()
+    return CatDfa._packed(Dfa(a.alphabet, rows, 0, accepting), keys, nb)
 
 
 def build_catenation_nfa(a: Dfa, b: Dfa) -> Nfa:

@@ -8,9 +8,10 @@ All types are immutable values and every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -53,52 +54,138 @@ def format_word(alphabet: Sequence[str], word: Iterable[int]) -> str:
     return " ".join(names)
 
 
-@dataclass(frozen=True)
-class Dfa:
+class _Frozen:
+    """Immutable instances: ``__init__`` sets the attributes with
+    ``object.__setattr__``, and derived forms are added on first use. Two
+    threads may both compute a derived form; it is a pure value, so they
+    agree."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Dfa(_Frozen):
     """A complete deterministic finite automaton.
 
     ``delta[q][s]`` is the successor of state ``q`` on the ``s``-th alphabet
     symbol and must be present for every pair; incomplete tables are
     rejected at construction time rather than silently patched.
+
+    ``delta`` may also be given as a 2-D integer numpy table. The automaton
+    keeps it read-only, as an int64 copy unless it already is a read-only
+    int64 array, and makes the rows on first use of ``delta``; so the numpy
+    routes can make and read a large automaton without ever building its
+    rows in Python. Equality and hashing go by content, whatever the form.
     """
 
     alphabet: tuple[str, ...]
-    delta: tuple[tuple[int, ...], ...]
     start: int
     accepting: frozenset[int]
+    state_count: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        _check_alphabet(self.alphabet)
-        n = len(self.delta)
+    def __init__(
+        self,
+        alphabet: Sequence[str],
+        delta: Sequence[Sequence[int]] | np.ndarray,
+        start: int,
+        accepting: Iterable[int],
+    ) -> None:
+        alphabet = tuple(alphabet)
+        accepting = frozenset(accepting)
+        _check_alphabet(alphabet)
+        if isinstance(delta, np.ndarray) and delta.ndim == 2:
+            rows = None
+            table = delta.astype(np.int64, casting="safe", copy=delta.flags.writeable)
+            table.flags.writeable = False
+            n, width = table.shape
+        else:
+            rows, table = tuple(tuple(row) for row in delta), None
+            n = len(rows)
         if n == 0:
             raise ValueError("an automaton needs at least one state")
-        for q, row in enumerate(self.delta):
-            if len(row) != len(self.alphabet):
-                raise ValueError(
-                    f"state {q}: expected {len(self.alphabet)} transitions, got {len(row)}"
-                )
-            for s, target in enumerate(row):
-                if not 0 <= target < n:
-                    raise ValueError(
-                        f"transition ({q}, {_clip(self.alphabet[s])}) "
-                        f"targets invalid state {target}"
-                    )
-        if not 0 <= self.start < n:
-            raise ValueError(f"start state {self.start} out of range for {n} states")
-        for q in self.accepting:
+        if rows is not None:
+            _check_rows(alphabet, n, enumerate(rows))
+        elif width != len(alphabet) or table.min() < 0 or table.max() >= n:
+            # the first offending row in row-major order gets the rows' message
+            q = int(np.argwhere((table < 0) | (table >= n))[0, 0]) if width == len(alphabet) else 0
+            _check_rows(alphabet, n, [(q, table[q].tolist())])
+        if not 0 <= start < n:
+            raise ValueError(f"start state {start} out of range for {n} states")
+        for q in accepting:
             if not 0 <= q < n:
                 raise ValueError(f"accepting state {q} out of range for {n} states")
+        set_ = object.__setattr__  # one call each: construction is hot for small automata
+        set_(self, "alphabet", alphabet)
+        set_(self, "start", start)
+        set_(self, "accepting", accepting)
+        set_(self, "state_count", n)
+        set_(self, "_stored_table", table)
+        if rows is not None:
+            set_(self, "delta", rows)
+
+    @cached_property
+    def delta(self) -> tuple[tuple[int, ...], ...]:
+        """The transitions as rows of ints; made from the table on first use."""
+        return tuple(map(tuple, self._stored_table.tolist()))
 
     @property
-    def state_count(self) -> int:
-        return len(self.delta)
+    def _table(self) -> np.ndarray:
+        """The transitions as a read-only int64 table: the one given, or one
+        made from the rows. A made table is kept only from
+        ``_VECTOR_MIN_STATES`` states up, where the numpy routes read it;
+        small automata are read this way by the hundred thousand, and
+        keeping a table would cost each about half a kilobyte."""
+        table = self._stored_table
+        if table is None:
+            n, k = self.state_count, len(self.alphabet)
+            table = np.fromiter(chain.from_iterable(self.delta), dtype=np.int64, count=n * k)
+            table = table.reshape(n, k)
+            table.flags.writeable = False
+            if n >= _VECTOR_MIN_STATES:
+                object.__setattr__(self, "_stored_table", table)
+        return table
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dfa):
+            return NotImplemented
+        if (self.alphabet, self.start, self.accepting) != (
+            other.alphabet, other.start, other.accepting
+        ):
+            return False
+        if self._stored_table is None and other._stored_table is None:
+            return self.delta == other.delta
+        return bool(np.array_equal(self._table, other._table))
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.start, self.accepting, self._table.tobytes()))
+
+    def __repr__(self) -> str:
+        return (
+            f"Dfa(alphabet={self.alphabet!r}, delta={self.delta!r}, "
+            f"start={self.start!r}, accepting={self.accepting!r})"
+        )
 
     def word(self, w: str | Iterable[int]) -> Word:
         """Coerce a string or symbol-index iterable into a validated word."""
         return _coerce_word(self.alphabet, w)
+
+
+def _check_rows(
+    alphabet: tuple[str, ...], n: int, rows: Iterable[tuple[int, Sequence[int]]]
+) -> None:
+    """Raise for the first numbered row of the wrong width, or the first
+    transition outside ``0..n-1``, in row-major order."""
+    for q, row in rows:
+        if len(row) != len(alphabet):
+            raise ValueError(f"state {q}: expected {len(alphabet)} transitions, got {len(row)}")
+        for s, target in enumerate(row):
+            if not 0 <= target < n:
+                raise ValueError(
+                    f"transition ({q}, {_clip(alphabet[s])}) targets invalid state {target}"
+                )
 
 
 @dataclass(frozen=True)
@@ -237,6 +324,9 @@ def dead_states(d: Dfa) -> frozenset[int]:
 # the threshold and the witness catenation DFAs far above it.
 _VECTOR_MIN_STATES = 64
 
+# Packed Moore signatures stay at most this large, so they fit an int64.
+_PACK_LIMIT = 1 << 62
+
 
 def _moore_loop(d: Dfa) -> list[int]:
     """Moore refinement with dict-numbered signatures, over all states."""
@@ -257,27 +347,71 @@ def _moore_loop(d: Dfa) -> list[int]:
 def _moore_vector(d: Dfa) -> np.ndarray:
     """Moore refinement in numpy, over all states.
 
-    Each round ranks the signature (own block, block of each successor) one
-    column at a time, so no row-wise sort of the whole signature matrix is
-    needed; the ranks stay below the state count, so the products fit int64.
+    Each round ranks the signature (own block, block of each successor)
+    without a row-wise sort of the signature matrix: columns are packed into
+    one int64 as ``value * n_blocks + next`` for as long as the packed range
+    stays within ``_PACK_LIMIT``, and ``np.unique`` ranks the packed values
+    when the next column would not fit and at the end of the round.
     """
-    n, k = d.state_count, len(d.alphabet)
-    delta = np.fromiter(chain.from_iterable(d.delta), dtype=np.int64, count=n * k)
-    delta = delta.reshape(n, k)
-    accepting = np.zeros(n, dtype=np.int64)
-    accepting[np.fromiter(d.accepting, dtype=np.int64, count=len(d.accepting))] = 1
+    columns = np.ascontiguousarray(d._table.T)
     # With return_inverse, np.unique skips a masked-array check whose first
     # use imports numpy.ma and adds ~1.6 MB to the process.
-    ranks, block = np.unique(accepting, return_inverse=True)
+    ranks, block = np.unique(_accepting_flags(d), return_inverse=True)
     n_blocks = len(ranks)
     while True:
-        cur = block
-        for s in range(k):
-            ranks, cur = np.unique(cur * n_blocks + block[delta[:, s]], return_inverse=True)
+        cur, span = block, n_blocks  # the values of cur lie in 0..span-1
+        for column in columns:
+            if span * n_blocks > _PACK_LIMIT:
+                ranks, cur = np.unique(cur, return_inverse=True)
+                span = len(ranks)
+            cur = cur * n_blocks + block[column]
+            span *= n_blocks
+        ranks, cur = np.unique(cur, return_inverse=True)
         if len(ranks) == n_blocks:
             return cur
         block = cur
         n_blocks = len(ranks)
+
+
+def _accepting_flags(d: Dfa) -> np.ndarray:
+    """One bool per state: accepting or not."""
+    flags = np.zeros(d.state_count, dtype=bool)
+    flags[np.fromiter(d.accepting, dtype=np.int64, count=len(d.accepting))] = True
+    return flags
+
+
+def _bfs_levels(
+    start: int, size: int, successors: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first numbering over ids ``0..size-1``, one level at a time.
+
+    ``successors(ids)`` gives the successor ids of each id in ``ids``, one
+    row per id with symbols in alphabet order. Each level's new ids are
+    numbered in order of first occurrence along the level's rows, which is
+    the order a queue-driven BFS meets them in. Returns the reached ids in
+    BFS order and their successor rows renumbered, as a read-only table.
+    """
+    # 1 + BFS number once reached, 0 before; np.zeros leaves the untouched
+    # pages of a large, sparsely reached range unallocated
+    number = np.zeros(size, dtype=np.int64)
+    number[start] = 1
+    count = 1
+    frontier = np.array([start], dtype=np.int64)
+    levels, rows = [], []
+    while frontier.size:
+        levels.append(frontier)
+        rows.append(successors(frontier))
+        fresh = rows[-1].ravel()
+        fresh = fresh[number[fresh] == 0]
+        # mark each new id with the (negative) place of its first occurrence
+        place = np.arange(-fresh.size, 0)
+        np.minimum.at(number, fresh, place)
+        frontier = fresh[number[fresh] == place]
+        number[frontier] = np.arange(count + 1, count + 1 + frontier.size)
+        count += frontier.size
+    table = number[np.concatenate(rows)] - 1
+    table.flags.writeable = False
+    return np.concatenate(levels), table
 
 
 def _partition_blocks(d: Dfa) -> list[int]:
@@ -310,8 +444,19 @@ def minimize(d: Dfa) -> Dfa:
     order, which drops unreachable states; equal languages over equal
     alphabets always yield the bit-identical automaton. Any member can stand
     for its block, because equivalent states have equivalent successors.
+    From ``_VECTOR_MIN_STATES`` states up this runs on numpy tables and
+    returns a table-backed automaton, below it on dict loops; both routes
+    give the same automaton.
     """
-    blocks = _partition_blocks(d)
+    if d.state_count >= _VECTOR_MIN_STATES:
+        return _minimize_table(d)
+    return _minimize_loop(d)
+
+
+def _minimize_loop(d: Dfa) -> Dfa:
+    """``minimize`` by the dict loops: Moore refinement, then a queue-driven
+    BFS over the quotient."""
+    blocks = _moore_loop(d)
     rep = dict(zip(blocks, range(d.state_count)))
     order = [-1] * d.state_count  # block id -> new state number
     order[blocks[d.start]] = 0
@@ -328,6 +473,18 @@ def minimize(d: Dfa) -> Dfa:
         rows.append(tuple(row))
     accepting = frozenset(i for i, b in enumerate(bfs) if rep[b] in d.accepting)
     return Dfa(alphabet=d.alphabet, delta=tuple(rows), start=0, accepting=accepting)
+
+
+def _minimize_table(d: Dfa) -> Dfa:
+    """``minimize`` in numpy: the quotient table ``block[delta[rep]]``,
+    renumbered by ``_bfs_levels``."""
+    block = _moore_vector(d)
+    rep = np.empty(block.max() + 1, dtype=np.int64)
+    rep[block] = np.arange(d.state_count)
+    quotient = block[d._table[rep]]
+    bfs, rows = _bfs_levels(int(block[d.start]), len(rep), quotient.__getitem__)
+    accepting = np.flatnonzero(_accepting_flags(d)[rep[bfs]])
+    return Dfa(d.alphabet, rows, 0, accepting.tolist())
 
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:

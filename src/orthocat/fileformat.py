@@ -64,14 +64,18 @@ def parse_automaton(text: str) -> Dfa:
         raise FormatError("expected 'start <state>'", ln_start)
     start = _int(start_l[1], ln_start)
     if not 0 <= start < state_count:
-        raise FormatError(f"start {start} out of range (states {state_count})", ln_start)
+        raise FormatError(
+            f"start {_num(start)} out of range (states {_num(state_count)})", ln_start
+        )
     if acc_l[0] != "accepting":
         raise FormatError("expected 'accepting <state>...'", ln_acc)
     accepting = set()
     for token in acc_l[1:]:
         q = _int(token, ln_acc)
         if not 0 <= q < state_count:
-            raise FormatError(f"accepting state {q} out of range (states {state_count})", ln_acc)
+            raise FormatError(
+                f"accepting state {_num(q)} out of range (states {_num(state_count)})", ln_acc
+            )
         accepting.add(q)
 
     symbol_index = {name: i for i, name in enumerate(alphabet)}
@@ -86,9 +90,11 @@ def parse_automaton(text: str) -> Dfa:
         target = _int(tokens[2], number)
         for state in (q, target):
             if not 0 <= state < state_count:
-                raise FormatError(f"state {state} out of range (states {state_count})", number)
+                raise FormatError(
+                    f"state {_num(state)} out of range (states {_num(state_count)})", number
+                )
         if (q, s) in table:
-            raise FormatError(f"duplicate transition for ({q}, {_clip(tokens[1])})", number)
+            raise FormatError(f"duplicate transition for ({_num(q)}, {_clip(tokens[1])})", number)
         table[(q, s)] = target
 
     missing = state_count * len(alphabet) - len(table)
@@ -128,6 +134,11 @@ def serialize_automaton(d: Dfa) -> str:
         for s, name in enumerate(d.alphabet):
             lines.append(f"{q} {name} {d.delta[q][s]}")
     return "\n".join(lines) + "\n"
+
+
+def _num(value: int) -> str:
+    """A parsed integer for an error message, cut like quoted input."""
+    return _clip(str(value))
 
 
 def _int(token: str, line: int) -> int:

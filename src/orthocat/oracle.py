@@ -75,7 +75,7 @@ def acceptance_table(d: Dfa, length: int) -> np.ndarray:
     """Acceptance flag for every word of exactly ``length``, lex order."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    delta = np.array(d.delta, dtype=np.int64)
+    delta = d._table
     acc = np.array([q in d.accepting for q in range(d.state_count)])
     states = np.array([d.start], dtype=np.int64)
     for _ in range(length):
@@ -111,8 +111,8 @@ def _count_tables(a: Dfa, b: Dfa, max_len: int) -> Iterator[np.ndarray]:
     smallest unsigned one that holds max_len + 1.
     """
     m, nb = a.state_count, b.state_count
-    a_delta = np.array(a.delta, dtype=np.int64)
-    b_delta = np.array(b.delta, dtype=np.int64)
+    a_delta = a._table
+    b_delta = b._table
     a_acc = np.array([q in a.accepting for q in range(m)])
     suffix_acc = np.array([[p in b.accepting] for p in range(nb)])
     splits = np.zeros((m, 1), dtype=np.min_scalar_type(max_len + 1))

@@ -279,3 +279,42 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout == "[]\n"
+
+
+HUGE = "9" * 4300  # the most digits int() converts
+
+
+class TestBoundedNumbers:
+    """An out-of-range state number is cut like a quoted token."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(
+                f"alphabet a\nstates {HUGE}\nstart {HUGE}\naccepting\n", id="states-and-start"
+            ),
+            pytest.param(f"alphabet a\nstates 3\nstart {HUGE}\naccepting\n", id="start"),
+            pytest.param(f"alphabet a\nstates 3\nstart 0\naccepting {HUGE}\n", id="accepting"),
+            pytest.param(
+                f"alphabet a\nstates 3\nstart 0\naccepting\n0 a {HUGE}\n", id="transition"
+            ),
+            pytest.param(
+                f"alphabet a\nstates {HUGE}\nstart 0\naccepting\n{HUGE[1:]} a 0\n{HUGE[1:]} a 0\n",
+                id="duplicate",
+            ),
+        ],
+    )
+    def test_exit_2_with_short_stderr(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.dfa"
+        path.write_text(text)
+        assert main(["min", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "more characters)" in err
+        assert len(err.encode()) < 1024
+
+    def test_short_numbers_are_shown_whole(self, tmp_path, capsys):
+        path = tmp_path / "start.dfa"
+        path.write_text("alphabet a\nstates 3\nstart 7\naccepting\n")
+        assert main(["min", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3: start 7 out of range (states 3)\n"

@@ -1,0 +1,193 @@
+"""The numpy table routes against the dict loops they replace at scale.
+
+Each test calls the private route functions directly, so tiny inputs run
+the table code too; the public functions pick a route from the input.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import orthocat.cli
+from orthocat import Dfa, orthogonal_upper_bound, witness_a, witness_b
+from orthocat.catenation import _build_dense, _build_loop, build_catenation_dfa
+from orthocat.cli import cmd_verify
+from orthocat.core import _PACK_LIMIT, _minimize_loop, _minimize_table, _moore_loop, _moore_vector
+from orthocat.fileformat import serialize_automaton
+from orthocat.randgen import random_dfa, splitmix64_stream
+
+from conftest import dfa_pairs
+from test_core import same_partition, unary_lasso
+
+
+def assert_same_build(a: Dfa, b: Dfa) -> None:
+    dense, loop = _build_dense(a, b), _build_loop(a, b)
+    assert dense.keys == loop.keys
+    assert dense.dfa.delta == loop.dfa.delta
+    assert dense.dfa.accepting == loop.dfa.accepting
+
+
+def as_table(d: Dfa) -> Dfa:
+    return Dfa(d.alphabet, np.array(d.delta), d.start, d.accepting)
+
+
+class TestDenseBuild:
+    def test_witness_pairs_match_the_loop(self):
+        for m in range(3, 11):
+            for n in range(3, 13):
+                assert_same_build(witness_a(m), witness_b(n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_random_pairs_match_the_loop(self, seed):
+        for a, b in dfa_pairs(seed, 10, max_m=6, max_n=8, max_alphabet=4):
+            assert_same_build(a, b)
+
+    def test_loop_gives_up_once_its_queue_passes_the_limit(self):
+        a, b = witness_a(4), witness_b(4)
+        states = _build_loop(a, b).dfa.state_count
+        assert _build_loop(a, b, states) is not None
+        assert _build_loop(a, b, 0) is None
+
+    def test_dispatch_by_queue_length(self):
+        small = build_catenation_dfa(witness_a(3), witness_b(3))
+        wide = build_catenation_dfa(witness_a(6), witness_b(8))
+        # a 3,000-state path: one state a level, so never more than two queued
+        deep = build_catenation_dfa(unary_lasso(3000, 0, 1 << 2999), unary_lasso(2, 0, 1))
+        assert deep.dfa.state_count > 3000
+        for cat in (small, deep):
+            assert "keys" in vars(cat) and "_codes" not in vars(cat)
+        assert "_codes" in vars(wide) and "keys" not in vars(wide)
+        assert wide.keys == _build_loop(witness_a(6), witness_b(8)).keys
+
+
+class TestTableMinimize:
+    def test_byte_identical_to_the_loop_route(self):
+        draws = splitmix64_stream(0x7AB1_0001)
+        for _ in range(2000):
+            n = 1 + next(draws) % 300
+            k = 1 + next(draws) % 4
+            prob = (0.0, 0.25, 0.5, 0.75, 1.0)[next(draws) % 5]
+            d = random_dfa(n, k, prob, next(draws))
+            assert serialize_automaton(_minimize_table(d)) == serialize_automaton(_minimize_loop(d))
+
+    def test_returns_a_table_backed_automaton(self):
+        d = build_catenation_dfa(witness_a(6), witness_b(8)).dfa
+        small = _minimize_table(d)
+        assert "delta" not in vars(small)
+        assert small == _minimize_loop(d)
+
+
+def moore_rounds(d: Dfa) -> int:
+    """Rounds of Moore refinement up to and including the stable one."""
+    block = [q in d.accepting for q in range(d.state_count)]
+    rounds, n_blocks = 1, len(set(block))
+    while True:
+        sigs: dict[tuple, int] = {}
+        block = [
+            sigs.setdefault((block[q], *(block[t] for t in row)), len(sigs))
+            for q, row in enumerate(d.delta)
+        ]
+        if len(sigs) == n_blocks:
+            return rounds
+        rounds, n_blocks = rounds + 1, len(sigs)
+
+
+class TestPackedMoore:
+    """Every array ``_moore_vector`` ranks stays within ``_PACK_LIMIT``, and
+    a round takes one ``np.unique`` call unless its columns do not fit."""
+
+    def unique_calls(self, monkeypatch, d: Dfa) -> int:
+        calls = []
+        unique = np.unique
+
+        def checked(values, **kwargs):
+            assert 0 <= values.min() and values.max() < _PACK_LIMIT
+            calls.append(len(values))
+            return unique(values, **kwargs)
+
+        monkeypatch.setattr(np, "unique", checked)
+        blocks = _moore_vector(d)
+        monkeypatch.setattr(np, "unique", unique)
+        assert same_partition(blocks.tolist(), _moore_loop(d))
+        return len(calls)
+
+    def test_all_columns_in_one_call(self, monkeypatch):
+        # at most 300 blocks, 300**5 < 2**62: the first call, then one a round
+        draws = splitmix64_stream(0x7AB1_0002)
+        for _ in range(20):
+            d = random_dfa(300, 4, 0.5, next(draws))
+            assert self.unique_calls(monkeypatch, d) == 1 + moore_rounds(d)
+
+    def test_columns_over_several_calls(self, monkeypatch):
+        # nine columns of about 300 blocks each need two calls a round
+        draws = splitmix64_stream(0x7AB1_0003)
+        for _ in range(20):
+            d = random_dfa(300, 8, 0.5, next(draws))
+            assert len(set(_moore_loop(d))) ** 9 > _PACK_LIMIT
+            assert self.unique_calls(monkeypatch, d) > 1 + moore_rounds(d)
+
+
+class TestDfaForms:
+    def test_equal_and_same_hash_across_forms(self):
+        d = witness_a(5)
+        t = as_table(d)
+        assert d == t and t == d and hash(d) == hash(t)
+        other = Dfa(d.alphabet, d.delta, d.start, frozenset({0}))
+        assert as_table(other) != d
+
+    def test_table_is_a_read_only_copy(self):
+        array = np.array(witness_b(4).delta)
+        d = Dfa(witness_b(4).alphabet, array, 0, {1})
+        array[0, 0] = 3
+        assert d.delta == witness_b(4).delta
+        with pytest.raises(ValueError, match="read-only"):
+            d._table[0, 0] = 1
+
+    def test_rows_derived_on_first_use(self):
+        d = as_table(witness_a(4))
+        assert d.state_count == 4 and "delta" not in vars(d)
+        assert d.delta == witness_a(4).delta and "delta" in vars(d)
+
+    def test_verify_never_makes_rows_at_scale(self, monkeypatch):
+        seen = []
+
+        def record(fn):
+            def wrapper(*args):
+                seen.append(fn(*args))
+                return seen[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(orthocat.cli, "build_catenation_dfa", record(build_catenation_dfa))
+        monkeypatch.setattr(orthocat.cli, "minimize", record(orthocat.cli.minimize))
+        cmd_verify(12, 14)
+        cat, small = seen
+        assert "keys" not in vars(cat)
+        assert "delta" not in vars(cat.dfa) and "delta" not in vars(small)
+
+    @pytest.mark.parametrize(
+        "rows,start,accepting",
+        [
+            pytest.param([[0, 5], [-1, 0], [9, 9]], 0, (), id="bad-target"),
+            pytest.param([[0], [1]], 0, (), id="row-width"),
+            pytest.param([[0, 1], [1, 0]], 2, (), id="start"),
+            pytest.param([[0, 1], [1, 0]], 0, (0, 7), id="accepting"),
+            pytest.param([], 0, (), id="no-states"),
+        ],
+    )
+    def test_table_errors_read_as_the_rows_errors(self, rows, start, accepting):
+        table = np.array(rows, dtype=np.int64) if len(rows) else np.zeros((0, 2), dtype=np.int64)
+        messages = []
+        for delta in (table, tuple(map(tuple, rows))):
+            with pytest.raises(ValueError) as caught:
+                Dfa(("a", "b"), delta, start, accepting)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+
+def test_verify_reproduces_the_bound_at_scale():
+    row = cmd_verify(12, 14)
+    assert row.constructed == 188_416
+    assert row.minimized == 94_208 == orthogonal_upper_bound(12, 14)
