@@ -84,6 +84,13 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     first reaches them and groups are expanded in word order (many product
     nodes share one word), so the first hit is the shortest ambiguous word
     with ties broken in alphabet order; its two runs yield the splits.
+
+    A diverged node and its mirror (t, s) are reached by the same words, so
+    each unordered pair of runs is searched once, stored as (min, max). The
+    splits survive: two runs both in the first automaton's part are one run
+    (it is deterministic, and no run returns there from the second's part),
+    so the lower state is the run still in the first part until both have
+    left it, and :func:`_split_of` counts only states of the first part.
     """
     _require_same_alphabet(a, b)
     nfa = build_catenation_nfa(a, b)
@@ -103,7 +110,7 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
                 for s, t, diverged in group:
                     for s2 in succ[s][sym]:
                         for t2 in succ[t][sym]:
-                            nxt = (s2, t2, diverged or s2 != t2)
+                            nxt = (s2, t2, True) if s2 < t2 else (t2, s2, diverged or s2 != t2)
                             if nxt in parents:
                                 continue
                             parents[nxt] = ((s, t, diverged), sym)

@@ -312,6 +312,31 @@ class TestBoundedNumbers:
         assert err.startswith("error: line ") and "more characters)" in err
         assert len(err.encode()) < 1024
 
+    @pytest.mark.parametrize(
+        "text,head",
+        [
+            # 2 × (10^4300 − 1): one digit more than str() converts
+            pytest.param(
+                f"alphabet a b\nstates {HUGE}\nstart 0\naccepting\n",
+                f"1{'9' * 99}... (4201 more characters) missing: (0, a), (0, b),",
+                id="missing-count-past-digit-limit",
+            ),
+            # 2 × 10^4000 − 3, with no table allocated for the declared states
+            pytest.param(
+                f"alphabet a b\nstates 1{'0' * 4000}\nstart 0\naccepting 1\n0 a 1\n0 b 0\n1 a 1\n",
+                f"1{'9' * 99}... (3901 more characters) missing: (1, b), (2, a),",
+                id="huge-declared-states",
+            ),
+        ],
+    )
+    def test_missing_count_is_cut(self, tmp_path, capsys, text, head):
+        path = tmp_path / "huge.dfa"
+        path.write_text(text)
+        assert main(["min", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: incomplete transition table; {head}")
+        assert len(err.encode()) < 1024
+
     def test_short_numbers_are_shown_whole(self, tmp_path, capsys):
         path = tmp_path / "start.dfa"
         path.write_text("alphabet a\nstates 3\nstart 7\naccepting\n")

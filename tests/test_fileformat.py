@@ -1,8 +1,12 @@
+import hashlib
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthocat import Dfa, FormatError, minimize, parse_automaton, serialize_automaton, witness_a, witness_b
+from orthocat.randgen import random_dfa, splitmix64_stream
 
 from conftest import dfa_pairs, dfa_strategy
 
@@ -149,6 +153,23 @@ class TestParseErrors:
             parse_automaton("alphabet a\nstart 0\nstates 1\naccepting\n0 a 0\n")
 
 
+class TestHostileSizes:
+    """A declared state count far beyond the transition lines gets the
+    missing-pairs error without a table of that size being allocated."""
+
+    @pytest.mark.parametrize("states", [10**7, 10**4000], ids=["1e7", "1e4000"])
+    def test_declared_state_count_allocates_nothing(self, states):
+        text = f"alphabet a b\nstates {states}\nstart 0\naccepting 1\n0 a 1\n0 b 0\n1 a 1\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"^incomplete transition table; .* missing: \(1, b\), \(2, a\),"):
+                parse_automaton(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestComments:
     def test_comments_and_blanks_ignored(self):
         text = serialize_automaton(witness_b(3))
@@ -211,3 +232,87 @@ class TestFuzz:
             return
         assert isinstance(d, Dfa)
         assert parse_automaton(serialize_automaton(d)) == d
+
+
+# Separators the format must read as whitespace inside a line, and line
+# breaks it must read as the end of one.
+_SPACES = [" ", "\t", "   ", " \t", "\xa0", "\u3000", "\u2003"]
+_BREAKS = ["\n", "\r\n", "\x85", "\u2028"]
+_SYMBOL_NAMES = ["a", "b", "0", "1", "12", "ab", "x_y", "é", "007", "->"]
+
+
+def _respaced(draws, lines: list[list[str]]) -> str:
+    """Token lines joined with seeded separators, with blank and comment
+    lines and trailing comments."""
+    def pick(options):
+        return options[next(draws) % len(options)]
+
+    out = []
+    for tokens in lines:
+        if next(draws) % 8 == 0:
+            out.append(pick(["", "  ", "# note", "\t# 0 a 0"]))
+        line = pick(["", " ", "\t"]) + pick(_SPACES).join(tokens)
+        if next(draws) % 6 == 0:
+            line += pick(_SPACES) + "# trailing 1 a 1"
+        out.append(line)
+    return "".join(line + pick(_BREAKS) for line in out)
+
+
+def _corpus_file(draws, mutate: bool) -> str:
+    """One seeded automaton file, valid or with one mutation in its
+    transition lines (the header stays valid, so the body is parsed)."""
+    n, k = 1 + next(draws) % 8, 1 + next(draws) % 4
+    d = random_dfa(n, k, (1 + next(draws) % 3) / 4, next(draws))
+    offset = next(draws) % (len(_SYMBOL_NAMES) - k + 1)
+    d = Dfa(_SYMBOL_NAMES[offset : offset + k], d.delta, next(draws) % n, d.accepting)
+    lines = [line.split(" ") for line in serialize_automaton(d).splitlines()]
+    for i, tokens in enumerate(lines[1:], start=1):  # leading zeros on state numbers
+        for j in range(1, len(tokens)) if i < 4 else (0, 2):
+            tokens[j] = "0" * (next(draws) % 4 // 2) + tokens[j]
+    header, body = lines[:4], lines[4:]
+    for i in range(len(body) - 1, 0, -1):  # any order of transition lines is valid
+        j = next(draws) % (i + 1)
+        body[i], body[j] = body[j], body[i]
+    if mutate:
+        i = next(draws) % len(body)
+        kind = next(draws) % 8
+        if kind == 0:  # a token too few or too many
+            body[i] = body[i][:2] if next(draws) % 2 else [*body[i], body[i][0]]
+        elif kind == 1:  # a token moved to the start of the next line
+            body[(i + 1) % len(body)].insert(0, body[i].pop())
+        elif kind == 2:  # not an ASCII integer
+            body[i][2 * (next(draws) % 2)] = ["x1", "-1", "+1", "1.0", "١", "0x1", "1_0"][next(draws) % 7]
+        elif kind == 3:
+            body[i][1] = "zz"
+        elif kind == 4:
+            body[i][2 * (next(draws) % 2)] = str(n + next(draws) % 3)
+        elif kind == 5:  # a duplicate (q, s), possibly to another target
+            body.insert(next(draws) % (len(body) + 1), [*body[i][:2], str(next(draws) % n)])
+        elif kind == 6:
+            del body[i]
+        else:  # a 30-digit state number, in range only with leading zeros
+            body[i][2 * (next(draws) % 2)] = ("0" * 29 + "1") if next(draws) % 2 else "9" * 30
+    return _respaced(draws, header + body)
+
+
+def _outcome(text: str) -> str:
+    try:
+        return repr(parse_automaton(text))
+    except FormatError as exc:
+        return f"FormatError({str(exc)!r}, {exc.line})"
+
+
+class TestParsePinned:
+    """The parser's outcome on a seeded corpus, hashed and pinned: the
+    automaton, or the exact message and line of the error. Half the files
+    are valid but re-spaced; half carry one mutation in their transition
+    lines. The digest was computed with the line-by-line parser, before
+    the bulk parse, which had to leave every outcome alone."""
+
+    def test_outcomes_are_pinned(self):
+        draws = splitmix64_stream(0xF11E_0007)
+        outcomes = [_outcome(_corpus_file(draws, mutate)) for mutate in [False, True] * 1000]
+        assert sum(o.startswith("Dfa(") for o in outcomes[0::2]) == 1000
+        assert sum(o.startswith("FormatError(") for o in outcomes[1::2]) == 964
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == "4684d7463d2f768d71c90e9a64b20c299b8dc44331a01ace304c7a38aeabaa0d"

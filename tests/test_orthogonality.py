@@ -339,3 +339,15 @@ class TestStagePinned:
         results += [_nfa_key(build_catenation_nfa(a, b)) for a, b in mixed]
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
         assert digest == "d3be07164415094072cce00f4bfba71a25ca276c18d8bb032137c06db67445ce"
+
+
+class TestLongWitnessPinned:
+    """The reversed (200, 200) witness pair's counterexample: the 397-letter
+    word and both splits, hashed and pinned. The digest was computed with
+    the search that expanded each diverged node and its mirror apart."""
+
+    def test_word_and_splits_are_pinned(self):
+        witness = is_orthogonal(witness_b(200), witness_a(200)).witness
+        assert len(witness.word) == 397
+        digest = hashlib.sha256(repr(_witness_key(witness)).encode()).hexdigest()
+        assert digest == "990a92ed05d186a09585bb573780ae1cc9ba499c7006c2d9b8a3742ab177c749"
