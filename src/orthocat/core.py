@@ -114,9 +114,10 @@ class Dfa(_Frozen):
             _check_rows(alphabet, n, [(q, table[q].tolist())])
         if not 0 <= start < n:
             raise ValueError(f"start state {start} out of range for {n} states")
-        for q in accepting:
-            if not 0 <= q < n:
-                raise ValueError(f"accepting state {q} out of range for {n} states")
+        if accepting and (min(accepting) < 0 or max(accepting) >= n):
+            for q in accepting:  # name the first bad state in the set's order
+                if not 0 <= q < n:
+                    raise ValueError(f"accepting state {q} out of range for {n} states")
         set_ = object.__setattr__  # one call each: construction is hot for small automata
         set_(self, "alphabet", alphabet)
         set_(self, "start", start)
@@ -324,8 +325,64 @@ def dead_states(d: Dfa) -> frozenset[int]:
 # the threshold and the witness catenation DFAs far above it.
 _VECTOR_MIN_STATES = 64
 
-# Packed Moore signatures stay at most this large, so they fit an int64.
-_PACK_LIMIT = 1 << 62
+# ``_rank`` counts instead of sorting while the value range is at most this
+# many times the number of values: a pass over a range that small costs less
+# than a sort, and a sort's per-call overhead dominates small inputs.
+_COUNT_SPAN_PER_VALUE = 2
+
+
+def _max_span(n: int) -> int:
+    """The largest value range ``_rank`` sorts for ``n`` values: a value
+    below it, shifted left past a state index below ``n``, fits an int64."""
+    return 1 << (63 - (n - 1).bit_length())
+
+
+def _rank(values: np.ndarray, span: int) -> int:
+    """Replace each of ``values`` (int64, in ``0..span-1``) in place by its
+    rank among the sorted distinct values; return how many are distinct.
+
+    A narrow range is ranked by counting which values occur, a wide one by
+    sorting; both give the same ids.
+    """
+    n = len(values)
+    if span <= _COUNT_SPAN_PER_VALUE * n:
+        return _count_rank(values, span)
+    return _sort_rank(values, span)
+
+
+def _count_rank(values: np.ndarray, span: int) -> int:
+    """``_rank`` by a table of the values that occur."""
+    seen = np.zeros(span, dtype=bool)
+    seen[values] = True
+    present = seen.nonzero()[0]
+    ids = np.empty(span, dtype=np.int64)  # read only where a value occurs
+    ids[present] = np.arange(len(present))
+    values[:] = ids[values]
+    return len(present)
+
+
+def _sort_rank(values: np.ndarray, span: int) -> int:
+    """``_rank`` by one in-place sort of ``value << shift | position``; or,
+    when the range leaves no room for the positions (Moore meets that only
+    above 2**21 states), by an argsort."""
+    n = len(values)
+    if span <= _max_span(n):
+        shift = (n - 1).bit_length()
+        values <<= shift
+        values |= np.arange(n)
+        values.sort()
+        order = values & ((1 << shift) - 1)
+        values >>= shift
+        ordered = values
+    else:
+        order = values.argsort()
+        ordered = values[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ids = np.cumsum(new)
+    values[order] = ids
+    return int(ids[-1]) + 1
 
 
 def _moore_loop(d: Dfa) -> list[int]:
@@ -344,33 +401,45 @@ def _moore_loop(d: Dfa) -> list[int]:
         n_blocks = len(sigs)
 
 
-def _moore_vector(d: Dfa) -> np.ndarray:
-    """Moore refinement in numpy, over all states.
+def _moore_vector(d: Dfa, flags: np.ndarray | None = None) -> np.ndarray:
+    """Moore refinement in numpy, over all states; ``flags`` is
+    ``_accepting_flags(d)``, passed by a caller that has it.
 
-    Each round ranks the signature (own block, block of each successor)
-    without a row-wise sort of the signature matrix: columns are packed into
-    one int64 as ``value * n_blocks + next`` for as long as the packed range
-    stays within ``_PACK_LIMIT``, and ``np.unique`` ranks the packed values
-    when the next column would not fit and at the end of the round.
+    Each round ranks the signature (accepting bit, block of each successor).
+    Over the blocks of the previous Moore level this splits the states as
+    (own block, block of each successor) would, so the rounds and the
+    stopping test are Moore's. The columns are packed into one int64 as
+    ``value * n_blocks + next`` while the packed range stays within
+    ``_max_span``, and ``_rank`` ranks the packed values when the next
+    column would not fit and at the end of the round: by counting while the
+    range is at most twice the state count (early rounds, and deep, narrow
+    automata), else by one sort.
     """
+    if flags is None:
+        flags = _accepting_flags(d)
     columns = np.ascontiguousarray(d._table.T)
-    # With return_inverse, np.unique skips a masked-array check whose first
-    # use imports numpy.ma and adds ~1.6 MB to the process.
-    ranks, block = np.unique(_accepting_flags(d), return_inverse=True)
-    n_blocks = len(ranks)
+    n = len(flags)
+    limit = _max_span(n)
+    cur = flags.astype(np.int64)
+    n_blocks = _rank(cur, 2)
+    # block ids are below n: a narrow copy halves the memory each gather reads
+    block = np.empty(n, dtype=np.int32 if n <= 1 << 31 else np.int64)
+    successor = np.empty_like(block)
     while True:
-        cur, span = block, n_blocks  # the values of cur lie in 0..span-1
+        block[:] = cur
+        cur[:] = flags
+        span = 2  # the values of cur lie in 0..span-1
         for column in columns:
-            if span * n_blocks > _PACK_LIMIT:
-                ranks, cur = np.unique(cur, return_inverse=True)
-                span = len(ranks)
-            cur = cur * n_blocks + block[column]
+            if span * n_blocks > limit:
+                span = _rank(cur, span)
+            cur *= n_blocks
+            # ids are in range: "clip" skips the copy the default mode makes for out=
+            cur += block.take(column, out=successor, mode="clip")
             span *= n_blocks
-        ranks, cur = np.unique(cur, return_inverse=True)
-        if len(ranks) == n_blocks:
+        count = _rank(cur, span)
+        if count == n_blocks:
             return cur
-        block = cur
-        n_blocks = len(ranks)
+        n_blocks = count
 
 
 def _accepting_flags(d: Dfa) -> np.ndarray:
@@ -478,12 +547,13 @@ def _minimize_loop(d: Dfa) -> Dfa:
 def _minimize_table(d: Dfa) -> Dfa:
     """``minimize`` in numpy: the quotient table ``block[delta[rep]]``,
     renumbered by ``_bfs_levels``."""
-    block = _moore_vector(d)
+    flags = _accepting_flags(d)
+    block = _moore_vector(d, flags)
     rep = np.empty(block.max() + 1, dtype=np.int64)
     rep[block] = np.arange(d.state_count)
     quotient = block[d._table[rep]]
     bfs, rows = _bfs_levels(int(block[d.start]), len(rep), quotient.__getitem__)
-    accepting = np.flatnonzero(_accepting_flags(d)[rep[bfs]])
+    accepting = np.flatnonzero(flags[rep[bfs]])
     return Dfa(d.alphabet, rows, 0, accepting.tolist())
 
 

@@ -6,14 +6,24 @@ the table code too; the public functions pick a route from the input.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orthocat.cli
+import orthocat.core
 from orthocat import Dfa, orthogonal_upper_bound, witness_a, witness_b
 from orthocat.catenation import _build_dense, _build_loop, build_catenation_dfa
 from orthocat.cli import cmd_verify
-from orthocat.core import _PACK_LIMIT, _minimize_loop, _minimize_table, _moore_loop, _moore_vector
+from orthocat.core import (
+    _count_rank,
+    _max_span,
+    _minimize_loop,
+    _minimize_table,
+    _moore_loop,
+    _moore_vector,
+    _rank,
+    _sort_rank,
+)
 from orthocat.fileformat import serialize_automaton
 from orthocat.randgen import random_dfa, splitmix64_stream
 
@@ -95,38 +105,94 @@ def moore_rounds(d: Dfa) -> int:
 
 
 class TestPackedMoore:
-    """Every array ``_moore_vector`` ranks stays within ``_PACK_LIMIT``, and
-    a round takes one ``np.unique`` call unless its columns do not fit."""
+    """Every value ``_moore_vector`` ranks, packed as a sort key beside a
+    state index, stays below 2**63, and a round takes one ``_rank`` call
+    unless its columns do not fit one packed range."""
 
-    def unique_calls(self, monkeypatch, d: Dfa) -> int:
+    def rank_calls(self, monkeypatch, d: Dfa) -> int:
         calls = []
-        unique = np.unique
 
-        def checked(values, **kwargs):
-            assert 0 <= values.min() and values.max() < _PACK_LIMIT
-            calls.append(len(values))
-            return unique(values, **kwargs)
+        def checked(values, span):
+            n = len(values)
+            assert 0 <= values.min() and values.max() < span
+            assert (span - 1) << (n - 1).bit_length() | (n - 1) < 2**63
+            calls.append(span)
+            return _rank(values, span)
 
-        monkeypatch.setattr(np, "unique", checked)
+        monkeypatch.setattr(orthocat.core, "_rank", checked)
         blocks = _moore_vector(d)
-        monkeypatch.setattr(np, "unique", unique)
+        monkeypatch.undo()
         assert same_partition(blocks.tolist(), _moore_loop(d))
         return len(calls)
 
     def test_all_columns_in_one_call(self, monkeypatch):
-        # at most 300 blocks, 300**5 < 2**62: the first call, then one a round
+        # 2 * 300**4 fits 2**54: the first call, then one a round
         draws = splitmix64_stream(0x7AB1_0002)
         for _ in range(20):
             d = random_dfa(300, 4, 0.5, next(draws))
-            assert self.unique_calls(monkeypatch, d) == 1 + moore_rounds(d)
+            assert 2 * len(set(_moore_loop(d))) ** 4 <= _max_span(300) == 2**54
+            assert self.rank_calls(monkeypatch, d) == 1 + moore_rounds(d)
 
     def test_columns_over_several_calls(self, monkeypatch):
-        # nine columns of about 300 blocks each need two calls a round
+        # eight columns of about 300 blocks each need two calls a round
         draws = splitmix64_stream(0x7AB1_0003)
         for _ in range(20):
             d = random_dfa(300, 8, 0.5, next(draws))
-            assert len(set(_moore_loop(d))) ** 9 > _PACK_LIMIT
-            assert self.unique_calls(monkeypatch, d) > 1 + moore_rounds(d)
+            assert 2 * len(set(_moore_loop(d))) ** 8 > _max_span(300)
+            assert self.rank_calls(monkeypatch, d) > 1 + moore_rounds(d)
+
+
+def ranked(values, span: int, rank) -> tuple[list[int], int]:
+    copy = np.array(values, dtype=np.int64)
+    count = rank(copy, span)
+    return copy.tolist(), count
+
+
+spans_and_values = st.integers(1, 1000).flatmap(
+    lambda span: st.tuples(
+        st.just(span), st.lists(st.integers(0, span - 1), min_size=1, max_size=60)
+    )
+)
+
+
+class TestRank:
+    @settings(max_examples=300, deadline=None)
+    @given(spans_and_values)
+    @example((1, [0]))
+    @example((5, [3]))
+    @example((7, [6, 6, 6, 6]))
+    @example((40, [39, 0, 39, 17, 39]))
+    @example((1000, [999, 998, 0, 999]))
+    def test_count_and_sort_branches_agree(self, span_values):
+        span, values = span_values
+        distinct = sorted(set(values))
+        expected = ([distinct.index(v) for v in values], len(distinct))
+        # a wider span is as valid a bound; past _max_span it takes the argsort
+        unpacked = _max_span(len(values)) * 2
+        assert ranked(values, span, _count_rank) == expected
+        assert ranked(values, span, _sort_rank) == expected
+        assert ranked(values, unpacked, _sort_rank) == expected
+        assert ranked(values, span, _rank) == expected
+
+    def test_packed_keys_fit_past_a_million_values(self):
+        # 2**20 + 1 values need 21 position bits, leaving 42 for the values
+        n = 2**20 + 1
+        span = _max_span(n)
+        assert span == 2**42 and (span - 1) << 21 | (n - 1) < 2**63
+        values = np.random.default_rng(8).integers(0, span, n)
+        values[[0, 5, n - 1]] = span - 1
+        values[[1, 2]] = 0
+        _, expected = np.unique(values, return_inverse=True)
+        assert _rank(values, span) == expected.max() + 1
+        assert np.array_equal(values, expected)
+
+    @pytest.mark.parametrize("n", [64, 127, 128, 129, 255, 256, 257, 511])
+    def test_vector_partition_equals_the_loop(self, n):
+        draws = splitmix64_stream(0x7AB1_0004 + n)
+        for k in range(1, 10):
+            for prob in (0.0, 0.5, 1.0):
+                d = random_dfa(n, k, prob, next(draws))
+                assert same_partition(_moore_vector(d).tolist(), _moore_loop(d))
 
 
 class TestDfaForms:
@@ -185,6 +251,14 @@ class TestDfaForms:
                 Dfa(("a", "b"), delta, start, accepting)
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("accepting", [(7,), (0, -1), (5, -3, 9, 1), (1, 2)])
+    def test_accepting_out_of_range_message(self, accepting):
+        bad = next(q for q in frozenset(accepting) if not 0 <= q < 2)
+        for delta in (np.array([[0, 1], [1, 0]]), ((0, 1), (1, 0))):
+            with pytest.raises(ValueError) as caught:
+                Dfa(("a", "b"), delta, 0, accepting)
+            assert str(caught.value) == f"accepting state {bad} out of range for 2 states"
 
 
 def test_verify_reproduces_the_bound_at_scale():
