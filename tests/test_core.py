@@ -228,6 +228,13 @@ class TestMooreRoutes:
             with_unreachable += len(reachable_states(d)) < n
             assert same_partition(_moore_vector(d).tolist(), _moore_loop(d))
         assert with_unreachable >= 120
+        # state counts where the bits of n - 1 change, up to nine letters, and
+        # single-block starts (no state, or every state, accepting)
+        for n in (64, 127, 128, 129, 255, 256, 257, 511):
+            for k in range(1, 10):
+                for prob in (0.0, 0.5, 1.0):
+                    d = random_dfa(n, k, prob, next(draws))
+                    assert same_partition(_moore_vector(d).tolist(), _moore_loop(d))
 
     def test_dispatch_by_size(self):
         small = unary_lasso(_VECTOR_MIN_STATES - 1, 5, 0b1001)

@@ -186,14 +186,6 @@ class TestRank:
         assert _rank(values, span) == expected.max() + 1
         assert np.array_equal(values, expected)
 
-    @pytest.mark.parametrize("n", [64, 127, 128, 129, 255, 256, 257, 511])
-    def test_vector_partition_equals_the_loop(self, n):
-        draws = splitmix64_stream(0x7AB1_0004 + n)
-        for k in range(1, 10):
-            for prob in (0.0, 0.5, 1.0):
-                d = random_dfa(n, k, prob, next(draws))
-                assert same_partition(_moore_vector(d).tolist(), _moore_loop(d))
-
 
 class TestDfaForms:
     def test_equal_and_same_hash_across_forms(self):
