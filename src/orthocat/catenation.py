@@ -15,18 +15,20 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Dfa, Nfa, _accepting_flags, _bfs_levels, _Frozen, _require_same_alphabet
+from .core import (
+    _DENSE_MIN_QUEUE,
+    Dfa,
+    Nfa,
+    _accepting_flags,
+    _bfs_levels,
+    _Frozen,
+    _require_same_alphabet,
+)
 
 # Second-automaton subsets are bitmasks held in Python ints, which have no
 # fixed width: the cap is a plain size limit on the second automaton.
 MAX_SECOND_AUTOMATON_STATES = 62
 
-# The dense build costs tens of microseconds a BFS level however few states
-# the level holds, so it only pays on wide levels: the dict loop hands a pair
-# over once more than this many found states wait in its queue. A deep,
-# narrow automaton never gets there; of 33,048 random pairs of up to six
-# states and three letters, none did.
-_DENSE_MIN_QUEUE = 64
 # The dense build indexes all m * 2**n keys of an (m, n) pair in one array;
 # it runs while that index and its step table (8 bytes a cell, (m + k) *
 # 2**n cells for k letters) stay within this many cells, 128 MB.

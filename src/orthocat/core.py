@@ -320,6 +320,14 @@ def dead_states(d: Dfa) -> frozenset[int]:
     )
 
 
+# A numpy search by BFS levels costs tens of microseconds a level however few
+# ids the level holds, so it only pays on wide levels: the catenation build
+# and ``language_equivalent`` start with a Python walk, which hands over once
+# more than this many found ids wait in its queue. A deep, narrow automaton
+# never gets there; of 33,048 random pairs of up to six states and three
+# letters, none did in the catenation build.
+_DENSE_MIN_QUEUE = 64
+
 # Around this many states the numpy refinement overtakes the dict loop;
 # below it numpy's per-call overhead dominates. Tiny random inputs sit below
 # the threshold and the witness catenation DFAs far above it.
@@ -558,18 +566,81 @@ def _minimize_table(d: Dfa) -> Dfa:
 
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Exact language equality, by product search for a distinguishing pair."""
+    """Exact language equality, by product search for a distinguishing pair.
+
+    The search visits the pairs ``(p, q)`` of states that one word reaches
+    in ``d1`` and ``d2``, and fails at a pair where only one side accepts.
+    A Python walk searches breadth-first; once more than
+    ``_DENSE_MIN_QUEUE`` found pairs wait in its queue, the search starts
+    over one BFS level at a time on numpy tables, with each pair packed as
+    the int64 key ``p * n2 + q`` (``n2`` the state count of ``d2``). Any
+    visiting order gives the same verdict. Neither route makes the rows of
+    a table-backed automaton.
+    """
     _require_same_alphabet(d1, d2)
+    verdict = _equivalent_walk(d1, d2, _DENSE_MIN_QUEUE)
+    return _equivalent_levels(d1, d2) if verdict is None else verdict
+
+
+class _TableRows:
+    """The rows of a table read one state at a time: ``rows[q]`` is row
+    ``q`` as a list of ints."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = table
+
+    def __getitem__(self, q: int) -> list[int]:
+        return self.table[q].tolist()
+
+
+def _equivalent_walk(d1: Dfa, d2: Dfa, limit: int | None = None) -> bool | None:
+    """``language_equivalent`` by a queue-driven BFS over pairs of states;
+    None as soon as more than ``limit`` found pairs wait in the queue, if a
+    limit is given. An automaton without rows is read from its table."""
+    rows1 = d1.__dict__.get("delta") or _TableRows(d1._stored_table)
+    rows2 = d2.__dict__.get("delta") or _TableRows(d2._stored_table)
+    acc1, acc2 = d1.accepting, d2.accepting
     start = (d1.start, d2.start)
     seen = {start}
     order = [start]
-    for p, q in order:  # order grows while it is walked: the BFS queue
-        if (p in d1.accepting) != (q in d2.accepting):
+    for done, (p, q) in enumerate(order, 1):  # order grows while it is walked: the BFS queue
+        if (p in acc1) != (q in acc2):
             return False
-        for pair in zip(d1.delta[p], d2.delta[q]):
+        for pair in zip(rows1[p], rows2[q]):
             if pair not in seen:
                 seen.add(pair)
                 order.append(pair)
+        if limit is not None and len(order) - done > limit:
+            return None
+    return True
+
+
+def _equivalent_levels(d1: Dfa, d2: Dfa) -> bool:
+    """``language_equivalent`` one BFS level at a time on the tables; the
+    keys of all visited pairs are kept in a Python set, which stays linear
+    in their number however large ``n1 * n2`` is. A key is below
+    ``n1 * n2``, so it fits an int64 whenever ``n1 * n2 <= 2**63``; past
+    that the walk, which keeps pairs of Python ints, decides alone."""
+    n2 = d2.state_count
+    if d1.state_count * n2 > 1 << 63:
+        return _equivalent_walk(d1, d2)
+    table1, table2 = d1._table, d2._table
+    flags1, flags2 = _accepting_flags(d1), _accepting_flags(d2)
+    frontier = np.array([d1.start * n2 + d2.start], dtype=np.int64)
+    seen = set(frontier.tolist())
+    while frontier.size:
+        p, q = np.divmod(frontier, n2)
+        if (flags1[p] != flags2[q]).any():
+            return False
+        keys = table1[p]
+        keys *= n2
+        keys += table2[q]
+        fresh = set(keys.ravel().tolist())
+        fresh -= seen
+        seen |= fresh
+        frontier = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
     return True
 
 

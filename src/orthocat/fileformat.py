@@ -81,14 +81,15 @@ def parse_automaton(text: str) -> Dfa:
         )
     if acc_l[0] != "accepting":
         raise FormatError("expected 'accepting <state>...'", ln_acc)
-    accepting = set()
-    for token in acc_l[1:]:
-        q = _int(token, ln_acc)
-        if not 0 <= q < state_count:
-            raise FormatError(
-                f"accepting state {_num(q)} out of range (states {_num(state_count)})", ln_acc
-            )
-        accepting.add(q)
+    accepting = _ints(acc_l[1:])
+    if accepting is None or max(accepting, default=0) >= state_count:
+        for token in acc_l[1:]:  # raise for the first bad token
+            q = _int(token, ln_acc)
+            if not 0 <= q < state_count:
+                raise FormatError(
+                    f"accepting state {_num(q)} out of range (states {_num(state_count)})",
+                    ln_acc,
+                )
 
     table = _bulk_table([tokens for tokens in rows[ln_acc:] if tokens], alphabet, state_count)
     if table is None:
@@ -107,13 +108,8 @@ def _bulk_table(
         return None
     tokens = list(chain.from_iterable(body))
     states, symbols, targets = tokens[0::3], tokens[1::3], tokens[2::3]
-    for column in (states, targets):
-        joined = "".join(column)
-        if not (joined.isascii() and joined.isdigit()):  # as in _int
-            return None
-    try:
-        qs, ts = list(map(int, states)), list(map(int, targets))
-    except ValueError:  # more digits than int() converts
+    qs, ts = _ints(states), _ints(targets)
+    if qs is None or ts is None:
         return None
     ss = list(map({name: i for i, name in enumerate(alphabet)}.get, symbols))
     if None in ss or max(qs) >= state_count or max(ts) >= state_count:
@@ -125,6 +121,19 @@ def _bulk_table(
     table[cells] = ts
     table.flags.writeable = False
     return table.reshape(state_count, k)
+
+
+def _ints(tokens: list[str]) -> list[int] | None:
+    """The tokens as ints, or None if one of them is not an integer that
+    ``_int`` accepts. The tokens come from ``str.split``, so none is empty
+    and one check of the joined string covers them all."""
+    joined = "".join(tokens)
+    if tokens and not (joined.isascii() and joined.isdigit()):  # as in _int
+        return None
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _raise_first_error(

@@ -1,8 +1,10 @@
 import hashlib
 from itertools import product
+from unittest.mock import patch
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthocat import (
@@ -26,7 +28,15 @@ from orthocat import (
     witness_a,
     witness_b,
 )
-from orthocat.core import _VECTOR_MIN_STATES, _moore_loop, _moore_vector, _partition_blocks
+import orthocat.core
+from orthocat.core import (
+    _VECTOR_MIN_STATES,
+    _equivalent_levels,
+    _equivalent_walk,
+    _moore_loop,
+    _moore_vector,
+    _partition_blocks,
+)
 from orthocat.fileformat import serialize_automaton
 from orthocat.oracle import acceptance_table, residual_count
 from orthocat.randgen import random_dfa, splitmix64_stream
@@ -267,6 +277,30 @@ class TestMooreRoutes:
         assert digest == "b82f01acc517db8ba6498123ba31a51efc3c23a5516fde043ef595adbc5529a6"
 
 
+def inflated(d: Dfa, copies: int, seed: int) -> Dfa:
+    """The language of ``d`` with ``copies`` copies of each state, every
+    transition going to a drawn copy of its target, states shuffled. Not
+    minimal for ``copies > 1``, so a state of ``d`` pairs with several of
+    its states in the product."""
+    draws = splitmix64_stream(seed)
+    n = d.state_count
+    perm = sorted(range(n * copies), key=lambda _: next(draws))
+
+    def copy(q: int) -> int:
+        return perm[next(draws) % copies * n + q]
+
+    rows = [()] * (n * copies)
+    for c in range(copies):
+        for q, row in enumerate(d.delta):
+            rows[perm[c * n + q]] = tuple(map(copy, row))
+    accepting = {perm[c * n + q] for c in range(copies) for q in d.accepting}
+    return Dfa(d.alphabet, rows, copy(d.start), accepting)
+
+
+def as_table(d: Dfa) -> Dfa:
+    return Dfa(d.alphabet, np.array(d.delta), d.start, d.accepting)
+
+
 class TestLanguageEquivalence:
     def test_self(self):
         d = witness_a(4)
@@ -288,6 +322,78 @@ class TestLanguageEquivalence:
             bound = a.state_count + b.state_count
             same = enumerate_accepted(a, bound) == enumerate_accepted(b, bound)
             assert language_equivalent(a, b) == same
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 100),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(["inflated", "flipped", "other"]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**64 - 1),
+    )
+    @example(64, 2, 1, "inflated", True, True, 1)
+    @example(63, 2, 2, "inflated", False, True, 2)
+    @example(70, 3, 3, "flipped", True, False, 3)
+    def test_walk_levels_and_minimize_agree(self, n, k, copies, kind, table1, table2, seed):
+        d1 = random_dfa(n, k, 0.5, seed)
+        if kind == "other":
+            d2 = random_dfa(1 + seed % 100, k, 0.5, seed >> 1)
+        else:
+            d2 = inflated(d1, copies, seed)
+        if kind == "flipped":
+            d2 = Dfa(d2.alphabet, d2.delta, d2.start, d2.accepting ^ {seed % d2.state_count})
+        d1, d2 = (as_table(d) if t else d for d, t in ((d1, table1), (d2, table2)))
+        same = minimize(d1) == minimize(d2)
+        assert _equivalent_walk(d1, d2) is same
+        assert _equivalent_levels(d1, d2) is same
+        with patch.object(orthocat.core, "_DENSE_MIN_QUEUE", 0):
+            assert language_equivalent(d1, d2) is same
+
+    def test_first_difference_thousands_of_levels_deep(self):
+        chain, moved = unary_lasso(3000, 0, 1 << 2999), unary_lasso(3000, 0, 1 << 2998)
+        assert minimize(chain) != minimize(moved)
+        for d1, d2 in ((chain, moved), (moved, chain)):
+            assert _equivalent_walk(d1, d2) is False
+            assert _equivalent_levels(d1, d2) is False
+            assert not language_equivalent(d1, d2)
+
+    def test_tables_get_no_rows(self):
+        wide = random_dfa(200, 2, 0.5, 0x1E0_0001)
+        chain = unary_lasso(3000, 0, 1 << 2999)
+        pairs = [
+            (wide, inflated(wide, 2, 1), True),
+            (wide, inflated(wide, 3, 2), True),
+            (wide, random_dfa(150, 2, 0.5, 0x1E0_0002), False),
+            (chain, inflated(chain, 2, 3), True),
+            (chain, unary_lasso(3000, 0, 1 << 2998), False),
+        ]
+        for d1, d2, same in pairs:
+            d1, d2 = as_table(d1), as_table(d2)
+            assert language_equivalent(d1, d2) is same
+            assert "delta" not in d1.__dict__ and "delta" not in d2.__dict__
+
+    def test_route_by_queue_length(self, monkeypatch):
+        levels = []
+
+        def spy(d1, d2):
+            levels.append((d1, d2))
+            return _equivalent_levels(d1, d2)
+
+        monkeypatch.setattr(orthocat.core, "_equivalent_levels", spy)
+        cat = build_catenation_dfa(witness_a(6), witness_b(8)).dfa
+        assert language_equivalent(cat, minimize(cat))
+        assert len(levels) == 1
+
+        def refuse(d1, d2):
+            raise AssertionError("a deep, narrow pair entered the level route")
+
+        # one pair a level, so never more than one queued
+        monkeypatch.setattr(orthocat.core, "_equivalent_levels", refuse)
+        chain = unary_lasso(3000, 0, 1 << 2999)
+        assert language_equivalent(chain, unary_lasso(3000, 0, 1 << 2999))
+        assert not language_equivalent(chain, unary_lasso(3000, 0, 1 << 2998))
 
 
 class TestNfaConstruction:

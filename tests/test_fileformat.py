@@ -90,6 +90,22 @@ class TestParseErrors:
         with pytest.raises(FormatError, match="accepting state 12 out of range"):
             parse_automaton(text)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("accepting 1 x 12", "expected an integer, got 'x'"),
+            ("accepting 1 12 x", "accepting state 12 out of range"),
+            ("accepting 2 3", "accepting state 3 out of range"),
+            ("accepting 2 1 " + "9" * 5000, "expected an integer"),
+        ],
+        ids=["bad-token-first", "out-of-range-first", "state-count", "5000-digits"],
+    )
+    def test_first_bad_accepting_token(self, line, message):
+        text = self.witness_text().replace("accepting 1", line)
+        with pytest.raises(FormatError, match=message) as info:
+            parse_automaton(text)
+        assert info.value.line == 4
+
     def test_unknown_symbol(self):
         text = self.witness_text().replace("0 a 0", "0 z 0")
         with pytest.raises(FormatError, match="unknown symbol 'z'"):

@@ -28,7 +28,7 @@ from orthocat.fileformat import serialize_automaton
 from orthocat.randgen import random_dfa, splitmix64_stream
 
 from conftest import dfa_pairs
-from test_core import same_partition, unary_lasso
+from test_core import as_table, same_partition, unary_lasso
 
 
 def assert_same_build(a: Dfa, b: Dfa) -> None:
@@ -36,10 +36,6 @@ def assert_same_build(a: Dfa, b: Dfa) -> None:
     assert dense.keys == loop.keys
     assert dense.dfa.delta == loop.dfa.delta
     assert dense.dfa.accepting == loop.dfa.accepting
-
-
-def as_table(d: Dfa) -> Dfa:
-    return Dfa(d.alphabet, np.array(d.delta), d.start, d.accepting)
 
 
 class TestDenseBuild:
