@@ -76,9 +76,11 @@ class Dfa(_Frozen):
 
     ``delta`` may also be given as a 2-D integer numpy table. The automaton
     keeps it read-only, as an int64 copy unless it already is a read-only
-    int64 array, and makes the rows on first use of ``delta``; so the numpy
-    routes can make and read a large automaton without ever building its
-    rows in Python. Equality and hashing go by content, whatever the form.
+    int64 array that owns its memory (a read-only view may share memory the
+    caller can still write), and makes the rows on first use of ``delta``;
+    so the numpy routes can make and read a large automaton without ever
+    building its rows in Python. Equality and hashing go by content,
+    whatever the form.
     """
 
     alphabet: tuple[str, ...]
@@ -98,7 +100,8 @@ class Dfa(_Frozen):
         _check_alphabet(alphabet)
         if isinstance(delta, np.ndarray) and delta.ndim == 2:
             rows = None
-            table = delta.astype(np.int64, casting="safe", copy=delta.flags.writeable)
+            copy = delta.flags.writeable or not delta.flags.owndata
+            table = delta.astype(np.int64, casting="safe", copy=copy)
             table.flags.writeable = False
             n, width = table.shape
         else:
@@ -320,12 +323,13 @@ def dead_states(d: Dfa) -> frozenset[int]:
     )
 
 
-# A numpy search by BFS levels costs tens of microseconds a level however few
-# ids the level holds, so it only pays on wide levels: the catenation build
-# and ``language_equivalent`` start with a Python walk, which hands over once
-# more than this many found ids wait in its queue. A deep, narrow automaton
-# never gets there; of 33,048 random pairs of up to six states and three
-# letters, none did in the catenation build.
+# A numpy search step costs tens of microseconds however few ids it takes,
+# so it only pays on wide frontiers: the catenation build hands its Python
+# walk over to a numpy search by BFS levels once more than this many found
+# ids wait in its queue, and ``language_equivalent`` takes its waiting pairs
+# in numpy while more than this many wait. A deep, narrow automaton never
+# gets there; of 33,048 random pairs of up to six states and three letters,
+# none did in the catenation build.
 _DENSE_MIN_QUEUE = 64
 
 # Around this many states the numpy refinement overtakes the dict loop;
@@ -569,17 +573,54 @@ def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
     """Exact language equality, by product search for a distinguishing pair.
 
     The search visits the pairs ``(p, q)`` of states that one word reaches
-    in ``d1`` and ``d2``, and fails at a pair where only one side accepts.
-    A Python walk searches breadth-first; once more than
-    ``_DENSE_MIN_QUEUE`` found pairs wait in its queue, the search starts
-    over one BFS level at a time on numpy tables, with each pair packed as
-    the int64 key ``p * n2 + q`` (``n2`` the state count of ``d2``). Any
-    visiting order gives the same verdict. Neither route makes the rows of
-    a table-backed automaton.
+    in ``d1`` and ``d2``, each packed as the key ``p * n2 + q`` (``n2`` the
+    state count of ``d2``), and fails at a pair where only one side
+    accepts. Found keys wait in one queue. Any visiting order gives the
+    same verdict, so two steps share the queue as its length changes: while
+    at most ``_DENSE_MIN_QUEUE`` keys wait, a Python step visits the first
+    one, reading a table-backed automaton one row at a time; while more
+    wait, a numpy step visits all of them at once on the two tables.
+    Neither makes the rows of a table-backed automaton. A key, and each
+    partial sum the numpy step forms, is at most ``n1 * n2 - 1``, so keys
+    fit an int64 whenever ``n1 * n2 <= 2**63``; past that only the Python
+    step runs, on Python ints.
     """
     _require_same_alphabet(d1, d2)
-    verdict = _equivalent_walk(d1, d2, _DENSE_MIN_QUEUE)
-    return _equivalent_levels(d1, d2) if verdict is None else verdict
+    rows1 = d1.__dict__.get("delta") or _TableRows(d1._stored_table)
+    rows2 = d2.__dict__.get("delta") or _TableRows(d2._stored_table)
+    acc1, acc2 = d1.accepting, d2.accepting
+    n2 = d2.state_count
+    narrow = _DENSE_MIN_QUEUE if d1.state_count * n2 <= 1 << 63 else float("inf")
+    key = d1.start * n2 + d2.start
+    seen = {key}
+    waiting = [key]
+    tables = None  # the tables and accepting flags, made by the first numpy step
+    while waiting:
+        if len(waiting) > narrow:
+            if tables is None:
+                tables = d1._table, d2._table, _accepting_flags(d1), _accepting_flags(d2)
+            table1, table2, flags1, flags2 = tables
+            p, q = np.divmod(np.fromiter(waiting, dtype=np.int64, count=len(waiting)), n2)
+            if (flags1[p] != flags2[q]).any():
+                return False
+            keys = table1[p]
+            keys *= n2
+            keys += table2[q]
+            fresh = set(keys.ravel().tolist())
+            fresh -= seen
+            seen |= fresh
+            waiting = list(fresh)
+            continue
+        # at most narrow wait, so pop(0) moves few unless keys outgrow int64
+        p, q = divmod(waiting.pop(0), n2)
+        if (p in acc1) != (q in acc2):
+            return False
+        for t1, t2 in zip(rows1[p], rows2[q]):
+            key = t1 * n2 + t2
+            if key not in seen:
+                seen.add(key)
+                waiting.append(key)
+    return True
 
 
 class _TableRows:
@@ -593,55 +634,6 @@ class _TableRows:
 
     def __getitem__(self, q: int) -> list[int]:
         return self.table[q].tolist()
-
-
-def _equivalent_walk(d1: Dfa, d2: Dfa, limit: int | None = None) -> bool | None:
-    """``language_equivalent`` by a queue-driven BFS over pairs of states;
-    None as soon as more than ``limit`` found pairs wait in the queue, if a
-    limit is given. An automaton without rows is read from its table."""
-    rows1 = d1.__dict__.get("delta") or _TableRows(d1._stored_table)
-    rows2 = d2.__dict__.get("delta") or _TableRows(d2._stored_table)
-    acc1, acc2 = d1.accepting, d2.accepting
-    start = (d1.start, d2.start)
-    seen = {start}
-    order = [start]
-    for done, (p, q) in enumerate(order, 1):  # order grows while it is walked: the BFS queue
-        if (p in acc1) != (q in acc2):
-            return False
-        for pair in zip(rows1[p], rows2[q]):
-            if pair not in seen:
-                seen.add(pair)
-                order.append(pair)
-        if limit is not None and len(order) - done > limit:
-            return None
-    return True
-
-
-def _equivalent_levels(d1: Dfa, d2: Dfa) -> bool:
-    """``language_equivalent`` one BFS level at a time on the tables; the
-    keys of all visited pairs are kept in a Python set, which stays linear
-    in their number however large ``n1 * n2`` is. A key is below
-    ``n1 * n2``, so it fits an int64 whenever ``n1 * n2 <= 2**63``; past
-    that the walk, which keeps pairs of Python ints, decides alone."""
-    n2 = d2.state_count
-    if d1.state_count * n2 > 1 << 63:
-        return _equivalent_walk(d1, d2)
-    table1, table2 = d1._table, d2._table
-    flags1, flags2 = _accepting_flags(d1), _accepting_flags(d2)
-    frontier = np.array([d1.start * n2 + d2.start], dtype=np.int64)
-    seen = set(frontier.tolist())
-    while frontier.size:
-        p, q = np.divmod(frontier, n2)
-        if (flags1[p] != flags2[q]).any():
-            return False
-        keys = table1[p]
-        keys *= n2
-        keys += table2[q]
-        fresh = set(keys.ravel().tolist())
-        fresh -= seen
-        seen |= fresh
-        frontier = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
-    return True
 
 
 def determinize(n: Nfa) -> Dfa:

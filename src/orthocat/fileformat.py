@@ -117,10 +117,10 @@ def _bulk_table(
     cells = np.array(qs, dtype=np.int64) * k + np.array(ss, dtype=np.int64)
     if np.bincount(cells, minlength=state_count * k).max() > 1:
         return None
-    table = np.empty(state_count * k, dtype=np.int64)
-    table[cells] = ts
+    table = np.empty((state_count, k), dtype=np.int64)  # owned, so Dfa keeps it uncopied
+    np.put(table, cells, ts)
     table.flags.writeable = False
-    return table.reshape(state_count, k)
+    return table
 
 
 def _ints(tokens: list[str]) -> list[int] | None:

@@ -30,9 +30,9 @@ from orthocat import (
 )
 import orthocat.core
 from orthocat.core import (
+    _DENSE_MIN_QUEUE,
     _VECTOR_MIN_STATES,
-    _equivalent_levels,
-    _equivalent_walk,
+    _accepting_flags,
     _moore_loop,
     _moore_vector,
     _partition_blocks,
@@ -297,6 +297,25 @@ def inflated(d: Dfa, copies: int, seed: int) -> Dfa:
     return Dfa(d.alphabet, rows, copy(d.start), accepting)
 
 
+def head_and_tail(head: int, tail: int, seed: int) -> Dfa:
+    """A two-letter automaton whose states ``0..head-1`` have seeded random
+    targets among themselves, except that state 0's second letter enters a
+    chain of ``tail`` states. Both letters step along the chain, and its last
+    state loops. It accepts the chain's last state and every third head
+    state."""
+    draws = splitmix64_stream(seed)
+    rows = [(next(draws) % head, next(draws) % head) for _ in range(head)]
+    rows[0] = (rows[0][0], head)
+    rows += [(q + 1, q + 1) for q in range(head, head + tail - 1)]
+    rows.append((head + tail - 1,) * 2)
+    return Dfa(("a", "b"), rows, 0, {*range(0, head, 3), head + tail - 1})
+
+
+# _DENSE_MIN_QUEUE patched to 0 (numpy from the first step), as it is, and
+# past any queue (Python only)
+QUEUE_LIMITS = (0, _DENSE_MIN_QUEUE, 10**9)
+
+
 def as_table(d: Dfa) -> Dfa:
     return Dfa(d.alphabet, np.array(d.delta), d.start, d.accepting)
 
@@ -346,18 +365,31 @@ class TestLanguageEquivalence:
             d2 = Dfa(d2.alphabet, d2.delta, d2.start, d2.accepting ^ {seed % d2.state_count})
         d1, d2 = (as_table(d) if t else d for d, t in ((d1, table1), (d2, table2)))
         same = minimize(d1) == minimize(d2)
-        assert _equivalent_walk(d1, d2) is same
-        assert _equivalent_levels(d1, d2) is same
-        with patch.object(orthocat.core, "_DENSE_MIN_QUEUE", 0):
-            assert language_equivalent(d1, d2) is same
+        for waiting in QUEUE_LIMITS:
+            with patch.object(orthocat.core, "_DENSE_MIN_QUEUE", waiting):
+                assert language_equivalent(d1, d2) is same
 
     def test_first_difference_thousands_of_levels_deep(self):
         chain, moved = unary_lasso(3000, 0, 1 << 2999), unary_lasso(3000, 0, 1 << 2998)
         assert minimize(chain) != minimize(moved)
-        for d1, d2 in ((chain, moved), (moved, chain)):
-            assert _equivalent_walk(d1, d2) is False
-            assert _equivalent_levels(d1, d2) is False
-            assert not language_equivalent(d1, d2)
+        for waiting in QUEUE_LIMITS:
+            with patch.object(orthocat.core, "_DENSE_MIN_QUEUE", waiting):
+                assert not language_equivalent(chain, moved)
+                assert not language_equivalent(moved, chain)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_narrow_wide_narrow(self, table):
+        # the head's levels widen past the queue limit and narrow again, and
+        # its last pairs lead into a tail thousands of levels deep
+        d = head_and_tail(2000, 3000, 0x1E0_0003)
+        last = d.state_count - 1
+        moved = Dfa(d.alphabet, d.delta, d.start, d.accepting ^ {last - 1, last})
+        d = as_table(d) if table else d
+        for waiting in QUEUE_LIMITS:
+            with patch.object(orthocat.core, "_DENSE_MIN_QUEUE", waiting):
+                assert language_equivalent(d, as_table(d))
+                assert not language_equivalent(d, as_table(moved))
+                assert not language_equivalent(moved, d)
 
     def test_tables_get_no_rows(self):
         wide = random_dfa(200, 2, 0.5, 0x1E0_0001)
@@ -375,25 +407,23 @@ class TestLanguageEquivalence:
             assert "delta" not in d1.__dict__ and "delta" not in d2.__dict__
 
     def test_route_by_queue_length(self, monkeypatch):
-        levels = []
-
-        def spy(d1, d2):
-            levels.append((d1, d2))
-            return _equivalent_levels(d1, d2)
-
-        monkeypatch.setattr(orthocat.core, "_equivalent_levels", spy)
         cat = build_catenation_dfa(witness_a(6), witness_b(8)).dfa
-        assert language_equivalent(cat, minimize(cat))
-        assert len(levels) == 1
-
-        def refuse(d1, d2):
-            raise AssertionError("a deep, narrow pair entered the level route")
-
-        # one pair a level, so never more than one queued
-        monkeypatch.setattr(orthocat.core, "_equivalent_levels", refuse)
+        small = minimize(cat)
         chain = unary_lasso(3000, 0, 1 << 2999)
-        assert language_equivalent(chain, unary_lasso(3000, 0, 1 << 2999))
-        assert not language_equivalent(chain, unary_lasso(3000, 0, 1 << 2998))
+        same, moved = unary_lasso(3000, 0, 1 << 2999), unary_lasso(3000, 0, 1 << 2998)
+        flagged = []
+
+        def spy(d):  # only the numpy step reads the accepting flags
+            flagged.append(d)
+            return _accepting_flags(d)
+
+        monkeypatch.setattr(orthocat.core, "_accepting_flags", spy)
+        # one pair a level, so never more than one waits
+        assert language_equivalent(chain, same)
+        assert not language_equivalent(chain, moved)
+        assert flagged == []
+        assert language_equivalent(cat, small)
+        assert flagged == [cat, small]
 
 
 class TestNfaConstruction:

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import orthocat.catenation
 import orthocat.cli
 import orthocat.core
-from orthocat import Dfa, orthogonal_upper_bound, witness_a, witness_b
+import orthocat.fileformat
+from orthocat import Dfa, minimize, orthogonal_upper_bound, witness_a, witness_b
 from orthocat.catenation import _build_dense, _build_loop, build_catenation_dfa
 from orthocat.cli import cmd_verify
 from orthocat.core import (
@@ -24,7 +26,7 @@ from orthocat.core import (
     _rank,
     _sort_rank,
 )
-from orthocat.fileformat import serialize_automaton
+from orthocat.fileformat import parse_automaton, serialize_automaton
 from orthocat.randgen import random_dfa, splitmix64_stream
 
 from conftest import dfa_pairs
@@ -199,6 +201,37 @@ class TestDfaForms:
         with pytest.raises(ValueError, match="read-only"):
             d._table[0, 0] = 1
 
+    def test_read_only_view_is_copied(self):
+        base = np.array([[1], [0], [2]])
+        view = base.view()
+        view.flags.writeable = False
+        d = Dfa(("a",), view, 0, {1})
+        before = hash(d)
+        base[0, 0] = 7
+        assert hash(d) == before and d.delta == ((1,), (0,), (2,))
+        assert minimize(d) == Dfa(("a",), ((1,), (0,)), 0, {1})
+
+    def test_parsed_built_and_minimized_tables_are_kept(self, monkeypatch):
+        made = []
+
+        def record(module, name):
+            made_by = getattr(module, name)
+
+            def wrapper(*args):
+                made.append(made_by(*args))
+                return made[-1]
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        record(orthocat.fileformat, "_bulk_table")
+        record(orthocat.catenation, "_bfs_levels")
+        record(orthocat.core, "_bfs_levels")
+        parsed = parse_automaton(serialize_automaton(witness_b(4)))
+        built = build_catenation_dfa(witness_a(6), witness_b(8)).dfa
+        small = minimize(built)
+        given = made[0], made[1][1], made[2][1]  # _bfs_levels returns (ids, table)
+        kept = parsed._stored_table, built._stored_table, small._stored_table
+        assert all(k is g for k, g in zip(kept, given, strict=True))
     def test_rows_derived_on_first_use(self):
         d = as_table(witness_a(4))
         assert d.state_count == 4 and "delta" not in vars(d)
