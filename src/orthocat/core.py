@@ -8,6 +8,7 @@ All types are immutable values and every operation is a pure function.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain
@@ -75,12 +76,11 @@ class Dfa(_Frozen):
     rejected at construction time rather than silently patched.
 
     ``delta`` may also be given as a 2-D integer numpy table. The automaton
-    keeps it read-only, as an int64 copy unless it already is a read-only
-    int64 array that owns its memory (a read-only view may share memory the
-    caller can still write), and makes the rows on first use of ``delta``;
-    so the numpy routes can make and read a large automaton without ever
-    building its rows in Python. Equality and hashing go by content,
-    whatever the form.
+    keeps a read-only int64 copy, which nothing else can write, and makes
+    the rows on first use of ``delta``; so the numpy routes can make and
+    read a large automaton without ever building its rows in Python. States
+    must be integers: Python's, numpy's or any other type with
+    ``__index__``. Equality and hashing go by content, whatever the form.
     """
 
     alphabet: tuple[str, ...]
@@ -100,8 +100,7 @@ class Dfa(_Frozen):
         _check_alphabet(alphabet)
         if isinstance(delta, np.ndarray) and delta.ndim == 2:
             rows = None
-            copy = delta.flags.writeable or not delta.flags.owndata
-            table = delta.astype(np.int64, casting="safe", copy=copy)
+            table = delta.astype(np.int64, casting="safe")
             table.flags.writeable = False
             n, width = table.shape
         else:
@@ -115,10 +114,16 @@ class Dfa(_Frozen):
             # the first offending row in row-major order gets the rows' message
             q = int(np.argwhere((table < 0) | (table >= n))[0, 0]) if width == len(alphabet) else 0
             _check_rows(alphabet, n, [(q, table[q].tolist())])
+        if start.__class__ is not int:
+            operator.index(start)  # TypeError unless an integer, such as numpy's
         if not 0 <= start < n:
             raise ValueError(f"start state {start} out of range for {n} states")
-        if accepting and (min(accepting) < 0 or max(accepting) >= n):
+        # a sum of ints is an int: a float or a numpy integer takes the loop
+        if accepting and (
+            min(accepting) < 0 or max(accepting) >= n or sum(accepting).__class__ is not int
+        ):
             for q in accepting:  # name the first bad state in the set's order
+                operator.index(q)
                 if not 0 <= q < n:
                     raise ValueError(f"accepting state {q} out of range for {n} states")
         set_ = object.__setattr__  # one call each: construction is hot for small automata
@@ -132,25 +137,29 @@ class Dfa(_Frozen):
 
     @cached_property
     def delta(self) -> tuple[tuple[int, ...], ...]:
-        """The transitions as rows of ints; made from the table on first use."""
+        """The transitions as rows of ints; made from the table on first use
+        and kept, because Python code reads them one cell at a time."""
         return tuple(map(tuple, self._stored_table.tolist()))
 
     @property
     def _table(self) -> np.ndarray:
         """The transitions as a read-only int64 table: the one given, or one
-        made from the rows. A made table is kept only from
-        ``_VECTOR_MIN_STATES`` states up, where the numpy routes read it;
-        small automata are read this way by the hundred thousand, and
-        keeping a table would cost each about half a kilobyte."""
+        made from the rows on each use and not kept."""
         table = self._stored_table
         if table is None:
             n, k = self.state_count, len(self.alphabet)
             table = np.fromiter(chain.from_iterable(self.delta), dtype=np.int64, count=n * k)
             table = table.reshape(n, k)
             table.flags.writeable = False
-            if n >= _VECTOR_MIN_STATES:
-                object.__setattr__(self, "_stored_table", table)
         return table
+
+    def _row_reader(self) -> Callable[[int], Sequence[int]]:
+        """``read(q)``: row ``q`` as ints, from the rows if they are made,
+        else from the table one row at a time without making the rows."""
+        table = self._stored_table
+        if table is None or "delta" in self.__dict__:
+            return self.delta.__getitem__
+        return lambda q: table[q].tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dfa):
@@ -181,11 +190,14 @@ def _check_rows(
     alphabet: tuple[str, ...], n: int, rows: Iterable[tuple[int, Sequence[int]]]
 ) -> None:
     """Raise for the first numbered row of the wrong width, or the first
-    transition outside ``0..n-1``, in row-major order."""
+    transition that is not an integer or lies outside ``0..n-1``, in
+    row-major order."""
     for q, row in rows:
         if len(row) != len(alphabet):
             raise ValueError(f"state {q}: expected {len(alphabet)} transitions, got {len(row)}")
         for s, target in enumerate(row):
+            if target.__class__ is not int:
+                operator.index(target)  # TypeError unless an integer, such as numpy's
             if not 0 <= target < n:
                 raise ValueError(
                     f"transition ({q}, {_clip(alphabet[s])}) targets invalid state {target}"
@@ -470,7 +482,7 @@ def _bfs_levels(
     row per id with symbols in alphabet order. Each level's new ids are
     numbered in order of first occurrence along the level's rows, which is
     the order a queue-driven BFS meets them in. Returns the reached ids in
-    BFS order and their successor rows renumbered, as a read-only table.
+    BFS order and their successor rows renumbered, as a table.
     """
     # 1 + BFS number once reached, 0 before; np.zeros leaves the untouched
     # pages of a large, sparsely reached range unallocated
@@ -490,9 +502,7 @@ def _bfs_levels(
         frontier = fresh[number[fresh] == place]
         number[frontier] = np.arange(count + 1, count + 1 + frontier.size)
         count += frontier.size
-    table = number[np.concatenate(rows)] - 1
-    table.flags.writeable = False
-    return np.concatenate(levels), table
+    return np.concatenate(levels), number[np.concatenate(rows)] - 1
 
 
 def _partition_blocks(d: Dfa) -> list[int]:
@@ -586,8 +596,7 @@ def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
     step runs, on Python ints.
     """
     _require_same_alphabet(d1, d2)
-    rows1 = d1.__dict__.get("delta") or _TableRows(d1._stored_table)
-    rows2 = d2.__dict__.get("delta") or _TableRows(d2._stored_table)
+    row1, row2 = d1._row_reader(), d2._row_reader()
     acc1, acc2 = d1.accepting, d2.accepting
     n2 = d2.state_count
     narrow = _DENSE_MIN_QUEUE if d1.state_count * n2 <= 1 << 63 else float("inf")
@@ -615,25 +624,12 @@ def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
         p, q = divmod(waiting.pop(0), n2)
         if (p in acc1) != (q in acc2):
             return False
-        for t1, t2 in zip(rows1[p], rows2[q]):
+        for t1, t2 in zip(row1(p), row2(q)):
             key = t1 * n2 + t2
             if key not in seen:
                 seen.add(key)
                 waiting.append(key)
     return True
-
-
-class _TableRows:
-    """The rows of a table read one state at a time: ``rows[q]`` is row
-    ``q`` as a list of ints."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: np.ndarray) -> None:
-        self.table = table
-
-    def __getitem__(self, q: int) -> list[int]:
-        return self.table[q].tolist()
 
 
 def determinize(n: Nfa) -> Dfa:

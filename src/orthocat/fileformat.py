@@ -100,7 +100,7 @@ def parse_automaton(text: str) -> Dfa:
 def _bulk_table(
     body: list[list[str]], alphabet: tuple[str, ...], state_count: int
 ) -> np.ndarray | None:
-    """The read-only transition table of the transition lines' tokens, or
+    """The transition table of the transition lines' tokens, or
     None when a line is malformed, a (state, symbol) pair repeats or one is
     missing."""
     k = len(alphabet)
@@ -117,9 +117,8 @@ def _bulk_table(
     cells = np.array(qs, dtype=np.int64) * k + np.array(ss, dtype=np.int64)
     if np.bincount(cells, minlength=state_count * k).max() > 1:
         return None
-    table = np.empty((state_count, k), dtype=np.int64)  # owned, so Dfa keeps it uncopied
+    table = np.empty((state_count, k), dtype=np.int64)
     np.put(table, cells, ts)
-    table.flags.writeable = False
     return table
 
 

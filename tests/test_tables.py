@@ -230,8 +230,45 @@ class TestDfaForms:
         built = build_catenation_dfa(witness_a(6), witness_b(8)).dfa
         small = minimize(built)
         given = made[0], made[1][1], made[2][1]  # _bfs_levels returns (ids, table)
-        kept = parsed._stored_table, built._stored_table, small._stored_table
-        assert all(k is g for k, g in zip(kept, given, strict=True))
+        for d, array in zip((parsed, built, small), given, strict=True):
+            assert "delta" not in vars(d) and np.array_equal(d._table, array)
+            assert not d._table.flags.writeable and not np.shares_memory(d._table, array)
+
+    def test_owner_cannot_change_a_given_table(self):
+        table = np.array([[1], [0], [2]])
+        table.flags.writeable = False
+        d = Dfa(("a",), table, 0, {1})
+        before = hash(d)
+        table.flags.writeable = True
+        table[0, 0] = 7
+        assert not np.shares_memory(table, d._table)
+        assert hash(d) == before and d.delta == ((1,), (0,), (2,))
+        assert minimize(d) == Dfa(("a",), ((1,), (0,)), 0, {1})
+
+    @pytest.mark.parametrize("table", [False, True], ids=["rows", "table"])
+    @pytest.mark.parametrize(
+        "rows,start,accepting",
+        [
+            pytest.param(((0, 1), (1, 0)), 0.0, (), id="start"),
+            pytest.param(((0, 1), (1, 0)), 0, (1, 0.0), id="accepting"),
+            pytest.param(((0, 1), (1.0, 0)), 0, (), id="transition"),
+        ],
+    )
+    def test_float_states_are_rejected(self, table, rows, start, accepting):
+        delta = np.array(rows) if table else rows
+        with pytest.raises(TypeError):
+            Dfa(("a", "b"), delta, start, accepting)
+
+    @pytest.mark.parametrize("table", [False, True], ids=["rows", "table"])
+    def test_numpy_integer_states_are_accepted(self, table):
+        i = np.int64
+        rows = ((i(0), i(1)), (i(1), i(0)))
+        d = Dfa(("a", "b"), np.array(rows) if table else rows, i(1), {i(0)})
+        expected = Dfa(("a", "b"), ((0, 1), (1, 0)), 1, {0})
+        assert d == expected and hash(d) == hash(expected)
+        assert minimize(d) == minimize(expected)
+        assert serialize_automaton(d) == serialize_automaton(expected)
+
     def test_rows_derived_on_first_use(self):
         d = as_table(witness_a(4))
         assert d.state_count == 4 and "delta" not in vars(d)
