@@ -194,7 +194,11 @@ def _build_loop(a: Dfa, b: Dfa, limit: int | None = None) -> CatDfa | None:
 def _build_dense(a: Dfa, b: Dfa) -> CatDfa:
     """``build_catenation_dfa`` on numpy tables: a state's key is
     ``q << n | mask`` (n = b's state count), an index into the dense range
-    of all ``m << n`` keys, and ``_bfs_levels`` numbers the reachable ones."""
+    of all ``m << n`` keys, and ``_bfs_levels`` numbers the reachable ones.
+
+    When some b-states cannot reach b's accepting set, the DFA is given the
+    congruence "same q, same mask without those states" on the packed keys,
+    which ``minimize`` refines in place of the whole automaton."""
     nb = b.state_count
     # step[mask, s]: the b-states that mask moves to on s, by doubling: the
     # masks with top bit p are those below 2**p plus state p
@@ -212,8 +216,19 @@ def _build_dense(a: Dfa, b: Dfa) -> CatDfa:
     start = a.start << nb | int(spawn[a.start])
     keys, rows = _bfs_levels(start, a.state_count << nb, successors)
     fb_mask = sum(1 << p for p in b.accepting)
-    accepting = np.flatnonzero(keys & fb_mask).tolist()
-    return CatDfa._packed(Dfa(a.alphabet, rows, 0, accepting), keys, nb)
+    dfa = Dfa(a.alphabet, rows, 0, np.flatnonzero(keys & fb_mask))
+    # the b-states that can reach b's accepting set, by backward search
+    useful, grown = -1, fb_mask
+    while grown != useful:
+        useful = grown
+        for p, row in enumerate(b.delta):
+            if any(useful >> t & 1 for t in row):
+                grown |= 1 << p
+    if useful != low:
+        # A useless b-state steps only to useless ones and never accepts, so
+        # (q, X) and (q, X minus the useless states) accept the same words.
+        dfa._set_congruence(keys, ~(low ^ useful))
+    return CatDfa._packed(dfa, keys, nb)
 
 
 def build_catenation_nfa(a: Dfa, b: Dfa) -> Nfa:

@@ -80,13 +80,20 @@ class Dfa(_Frozen):
     the rows on first use of ``delta``; so the numpy routes can make and
     read a large automaton without ever building its rows in Python. States
     must be integers: Python's, numpy's or any other type with
-    ``__index__``. Equality and hashing go by content, whatever the form.
+    ``__index__``; ``accepting`` may also be a 1-D integer numpy array.
+    Equality and hashing go by content, whatever the form.
     """
 
     alphabet: tuple[str, ...]
     start: int
     accepting: frozenset[int]
     state_count: int
+
+    # ``(codes, keep)``: states whose ``codes`` agree on the bits of
+    # ``keep`` are equivalent, and the relation is a congruence. Only the
+    # catenation build sets one, through ``_set_congruence``; ``minimize``
+    # refines its quotient, and ==, hash, repr and serialization ignore it.
+    _congruence: tuple[np.ndarray, int] | None = None
 
     def __init__(
         self,
@@ -96,7 +103,15 @@ class Dfa(_Frozen):
         accepting: Iterable[int],
     ) -> None:
         alphabet = tuple(alphabet)
-        accepting = frozenset(accepting)
+        # a 1-D integer array is range-checked in numpy below, then frozen;
+        # anything else is frozen here and checked member by member
+        checked = (
+            isinstance(accepting, np.ndarray)
+            and accepting.ndim == 1
+            and accepting.dtype.kind in "iu"
+        )
+        if not checked:
+            accepting = frozenset(accepting)
         _check_alphabet(alphabet)
         if isinstance(delta, np.ndarray) and delta.ndim == 2:
             rows = None
@@ -118,8 +133,11 @@ class Dfa(_Frozen):
             operator.index(start)  # TypeError unless an integer, such as numpy's
         if not 0 <= start < n:
             raise ValueError(f"start state {start} out of range for {n} states")
+        if checked:
+            checked = not accepting.size or (accepting.min() >= 0 and accepting.max() < n)
+            accepting = frozenset(accepting.tolist())
         # a sum of ints is an int: a float or a numpy integer takes the loop
-        if accepting and (
+        if not checked and accepting and (
             min(accepting) < 0 or max(accepting) >= n or sum(accepting).__class__ is not int
         ):
             for q in accepting:  # name the first bad state in the set's order
@@ -134,6 +152,11 @@ class Dfa(_Frozen):
         set_(self, "_stored_table", table)
         if rows is not None:
             set_(self, "delta", rows)
+
+    def _set_congruence(self, codes: np.ndarray, keep: int) -> None:
+        """Give this automaton, while its maker still holds it alone, the
+        congruence ``(codes, keep)``; ``codes`` is one int64 per state."""
+        object.__setattr__(self, "_congruence", (codes, keep))
 
     @cached_property
     def delta(self) -> tuple[tuple[int, ...], ...]:
@@ -425,9 +448,9 @@ def _moore_loop(d: Dfa) -> list[int]:
         n_blocks = len(sigs)
 
 
-def _moore_vector(d: Dfa, flags: np.ndarray | None = None) -> np.ndarray:
-    """Moore refinement in numpy, over all states; ``flags`` is
-    ``_accepting_flags(d)``, passed by a caller that has it.
+def _moore_vector(table: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Moore refinement in numpy, over all states of the automaton with
+    transition table ``table`` and accepting flags ``flags``.
 
     Each round ranks the signature (accepting bit, block of each successor).
     Over the blocks of the previous Moore level this splits the states as
@@ -439,9 +462,7 @@ def _moore_vector(d: Dfa, flags: np.ndarray | None = None) -> np.ndarray:
     range is at most twice the state count (early rounds, and deep, narrow
     automata), else by one sort.
     """
-    if flags is None:
-        flags = _accepting_flags(d)
-    columns = np.ascontiguousarray(d._table.T)
+    columns = np.ascontiguousarray(table.T)
     n = len(flags)
     limit = _max_span(n)
     cur = flags.astype(np.int64)
@@ -513,7 +534,7 @@ def _partition_blocks(d: Dfa) -> list[int]:
     """
     if d.state_count < _VECTOR_MIN_STATES:
         return _moore_loop(d)
-    return _moore_vector(d).tolist()
+    return _moore_vector(d._table, _accepting_flags(d)).tolist()
 
 
 def state_equivalent(d: Dfa, q1: int, q2: int) -> bool:
@@ -537,7 +558,9 @@ def minimize(d: Dfa) -> Dfa:
     for its block, because equivalent states have equivalent successors.
     From ``_VECTOR_MIN_STATES`` states up this runs on numpy tables and
     returns a table-backed automaton, below it on dict loops; both routes
-    give the same automaton.
+    give the same automaton. A catenation DFA that carries a congruence
+    (the classes of states that differ only in useless second-automaton
+    states) is first replaced by its quotient by it on the table route.
     """
     if d.state_count >= _VECTOR_MIN_STATES:
         return _minimize_table(d)
@@ -567,16 +590,36 @@ def _minimize_loop(d: Dfa) -> Dfa:
 
 
 def _minimize_table(d: Dfa) -> Dfa:
-    """``minimize`` in numpy: the quotient table ``block[delta[rep]]``,
-    renumbered by ``_bfs_levels``."""
-    flags = _accepting_flags(d)
-    block = _moore_vector(d, flags)
-    rep = np.empty(block.max() + 1, dtype=np.int64)
-    rep[block] = np.arange(d.state_count)
-    quotient = block[d._table[rep]]
-    bfs, rows = _bfs_levels(int(block[d.start]), len(rep), quotient.__getitem__)
-    accepting = np.flatnonzero(flags[rep[bfs]])
-    return Dfa(d.alphabet, rows, 0, accepting.tolist())
+    """``minimize`` in numpy: Moore refinement, then the quotient by its
+    blocks, renumbered by ``_bfs_levels``.
+
+    An automaton with a congruence (see ``Dfa``) is first replaced by its
+    quotient by it, which has fewer states. A class holds only equivalent
+    states, so Moore on the quotient finds the same blocks of states, and
+    the renumbered result is the same.
+    """
+    table, flags, start = d._table, _accepting_flags(d), d.start
+    if d._congruence is not None:
+        codes, keep = d._congruence
+        classes = codes & keep
+        _rank(classes, int(classes.max()) + 1)
+        table, flags, start = _quotient(table, flags, start, classes)
+        del classes  # not needed through Moore
+    table, flags, start = _quotient(table, flags, start, _moore_vector(table, flags))
+    bfs, rows = _bfs_levels(start, len(table), table.__getitem__)
+    return Dfa(d.alphabet, rows, 0, np.flatnonzero(flags[bfs]))
+
+
+def _quotient(
+    table: np.ndarray, flags: np.ndarray, start: int, classes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The table, accepting flags and start of the automaton whose states
+    are the ``classes`` of a congruence that respects acceptance, given as
+    one id per state, every id in ``0..max`` used; any member stands for
+    its class."""
+    rep = np.empty(int(classes.max()) + 1, dtype=np.int64)
+    rep[classes] = np.arange(len(classes))
+    return classes[table[rep]], flags[rep], int(classes[start])
 
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:

@@ -199,6 +199,11 @@ def same_partition(x, y) -> bool:
     return len(set(zip(x, y))) == len(set(x)) == len(set(y))
 
 
+def vector_blocks(d: Dfa) -> list[int]:
+    """``_moore_vector``'s block ids for all states of ``d``."""
+    return _moore_vector(d._table, _accepting_flags(d)).tolist()
+
+
 def unary_lasso(n: int, tail: int, accepting_mask: int) -> Dfa:
     """The path 0 -> 1 -> ... -> n-1 closed by a back edge to ``tail``."""
     delta = tuple((q + 1,) for q in range(n - 1)) + ((tail,),)
@@ -236,7 +241,7 @@ class TestMooreRoutes:
             prob = (0.0, 0.25, 0.5, 0.75, 1.0)[next(draws) % 5]
             d = random_dfa(n, k, prob, next(draws))
             with_unreachable += len(reachable_states(d)) < n
-            assert same_partition(_moore_vector(d).tolist(), _moore_loop(d))
+            assert same_partition(vector_blocks(d), _moore_loop(d))
         assert with_unreachable >= 120
         # state counts where the bits of n - 1 change, up to nine letters, and
         # single-block starts (no state, or every state, accepting)
@@ -244,13 +249,13 @@ class TestMooreRoutes:
             for k in range(1, 10):
                 for prob in (0.0, 0.5, 1.0):
                     d = random_dfa(n, k, prob, next(draws))
-                    assert same_partition(_moore_vector(d).tolist(), _moore_loop(d))
+                    assert same_partition(vector_blocks(d), _moore_loop(d))
 
     def test_dispatch_by_size(self):
         small = unary_lasso(_VECTOR_MIN_STATES - 1, 5, 0b1001)
         large = unary_lasso(_VECTOR_MIN_STATES, 5, 0b1001)
         assert _partition_blocks(small) == _moore_loop(small)
-        assert _partition_blocks(large) == _moore_vector(large).tolist()
+        assert _partition_blocks(large) == vector_blocks(large)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**64 - 1))

@@ -22,7 +22,6 @@ from orthocat.core import (
     _minimize_loop,
     _minimize_table,
     _moore_loop,
-    _moore_vector,
     _rank,
     _sort_rank,
 )
@@ -30,7 +29,7 @@ from orthocat.fileformat import parse_automaton, serialize_automaton
 from orthocat.randgen import random_dfa, splitmix64_stream
 
 from conftest import dfa_pairs
-from test_core import as_table, same_partition, unary_lasso
+from test_core import as_table, same_partition, unary_lasso, vector_blocks
 
 
 def assert_same_build(a: Dfa, b: Dfa) -> None:
@@ -87,6 +86,72 @@ class TestTableMinimize:
         assert small == _minimize_loop(d)
 
 
+def hint_free(d: Dfa) -> Dfa:
+    """The same automaton, without a congruence."""
+    return Dfa(d.alphabet, d._table.copy(), d.start, d.accepting)
+
+
+def with_useless_states(b: Dfa, useless: int, seed: int) -> Dfa:
+    """``b`` plus ``useless`` non-accepting states that step only among
+    themselves (dead sinks and co-unreachable cycles), with about a quarter
+    of ``b``'s transitions redirected into them."""
+    draws = splitmix64_stream(seed)
+    n, k = b.state_count, len(b.alphabet)
+    rows = [
+        tuple(n + next(draws) % useless if next(draws) % 4 == 0 else t for t in row)
+        for row in b.delta
+    ]
+    rows += [tuple(n + next(draws) % useless for _ in range(k)) for _ in range(useless)]
+    return Dfa(b.alphabet, tuple(rows), b.start, b.accepting)
+
+
+class TestCongruenceQuotient:
+    """``_minimize_table`` refines the quotient by the congruence the dense
+    build gives; it must equal the dict loop and a hint-free ``minimize``."""
+
+    def assert_quotient_is_exact(self, a: Dfa, b: Dfa) -> bool:
+        d = _build_dense(a, b).dfa
+        free = hint_free(d)
+        assert free._congruence is None and free == d and hash(free) == hash(d)
+        expected = serialize_automaton(_minimize_loop(d))
+        assert serialize_automaton(_minimize_table(d)) == expected
+        assert serialize_automaton(minimize(free)) == expected
+        return d._congruence is not None
+
+    def test_witness_pairs(self):
+        for m in range(3, 11):
+            for n in range(3, 13):
+                assert self.assert_quotient_is_exact(witness_a(m), witness_b(n))
+
+    def test_random_pairs_with_useless_states(self):
+        draws = splitmix64_stream(0x7AB1_0004)
+        hinted = []
+        for a, b in dfa_pairs(0x7AB1_0005, 300, max_m=5, max_n=5):
+            useless = next(draws) % 3
+            if useless:
+                b = with_useless_states(b, useless, next(draws))
+            hinted.append(self.assert_quotient_is_exact(a, b))
+        assert 0 < sum(hinted) < len(hinted)
+
+    def test_no_congruence_when_every_state_is_useful(self):
+        # every state of a cycle reaches its accepting state
+        cycle = Dfa(witness_a(3).alphabet, tuple(((q + 1) % 5,) * 4 for q in range(5)), 0, {0})
+        assert self.assert_quotient_is_exact(witness_a(6), cycle) is False
+
+    def test_a_wider_quotient_changes_the_result(self):
+        # dropping any useful b-state too merges states of different languages
+        for m, n in ((3, 3), (4, 5), (6, 8)):
+            cat = _build_dense(witness_a(m), witness_b(n))
+            codes, keep = cat.dfa._congruence
+            low = (1 << n) - 1
+            assert keep & low == low >> 1  # every b-state but the dead one, n - 1
+            expected = serialize_automaton(_minimize_table(cat.dfa))
+            for p in range(n - 1):
+                mutant = hint_free(cat.dfa)
+                mutant._set_congruence(codes, keep & ~(1 << p))
+                assert serialize_automaton(_minimize_table(mutant)) != expected
+
+
 def moore_rounds(d: Dfa) -> int:
     """Rounds of Moore refinement up to and including the stable one."""
     block = [q in d.accepting for q in range(d.state_count)]
@@ -118,9 +183,9 @@ class TestPackedMoore:
             return _rank(values, span)
 
         monkeypatch.setattr(orthocat.core, "_rank", checked)
-        blocks = _moore_vector(d)
+        blocks = vector_blocks(d)
         monkeypatch.undo()
-        assert same_partition(blocks.tolist(), _moore_loop(d))
+        assert same_partition(blocks, _moore_loop(d))
         return len(calls)
 
     def test_all_columns_in_one_call(self, monkeypatch):
@@ -317,6 +382,34 @@ class TestDfaForms:
             with pytest.raises(ValueError) as caught:
                 Dfa(("a", "b"), delta, 0, accepting)
             assert str(caught.value) == f"accepting state {bad} out of range for 2 states"
+
+    @pytest.mark.parametrize(
+        "accepting",
+        [(7,), (2, 1), (0, -1), (5, -3, 9, 1)],
+        ids=["high", "state-count", "negative", "several"],
+    )
+    def test_accepting_array_errors_read_as_the_list_errors(self, accepting):
+        messages = []
+        for members in (list(accepting), np.array(accepting, dtype=np.int64)):
+            with pytest.raises(ValueError) as caught:
+                Dfa(("a", "b"), ((0, 1), (1, 0)), 0, members)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_accepting_float_array_is_rejected(self):
+        with pytest.raises(TypeError):
+            Dfa(("a", "b"), ((0, 1), (1, 0)), 0, np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "members",
+        [np.array([], dtype=np.int64), np.array([1, 0, 1], dtype=np.uint8), np.array([1])],
+        ids=["empty", "uint8", "int"],
+    )
+    def test_accepting_integer_arrays_are_accepted(self, members):
+        d = Dfa(("a", "b"), ((0, 1), (1, 0)), 0, members)
+        expected = Dfa(("a", "b"), ((0, 1), (1, 0)), 0, set(members.tolist()))
+        assert d == expected and hash(d) == hash(expected)
+        assert all(q.__class__ is int for q in d.accepting)
 
 
 def test_verify_reproduces_the_bound_at_scale():
