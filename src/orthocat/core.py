@@ -124,26 +124,32 @@ class Dfa(_Frozen):
         if n == 0:
             raise ValueError("an automaton needs at least one state")
         if rows is not None:
-            _check_rows(alphabet, n, enumerate(rows))
+            if _check_rows(alphabet, n, enumerate(rows)):
+                rows = tuple(tuple(map(operator.index, row)) for row in rows)
         elif width != len(alphabet) or table.min() < 0 or table.max() >= n:
             # the first offending row in row-major order gets the rows' message
             q = int(np.argwhere((table < 0) | (table >= n))[0, 0]) if width == len(alphabet) else 0
             _check_rows(alphabet, n, [(q, table[q].tolist())])
         if start.__class__ is not int:
-            operator.index(start)  # TypeError unless an integer, such as numpy's
+            start = operator.index(start)  # TypeError unless an integer, such as numpy's
         if not 0 <= start < n:
             raise ValueError(f"start state {start} out of range for {n} states")
         if checked:
             checked = not accepting.size or (accepting.min() >= 0 and accepting.max() < n)
             accepting = frozenset(accepting.tolist())
-        # a sum of ints is an int: a float or a numpy integer takes the loop
+        # a sum of ints is an int: a float or a numpy integer takes the loop,
+        # and so does a bool, which can only be a member equal to 0 or 1
         if not checked and accepting and (
-            min(accepting) < 0 or max(accepting) >= n or sum(accepting).__class__ is not int
+            min(accepting) < 0
+            or max(accepting) >= n
+            or sum(accepting).__class__ is not int
+            or (0 in accepting or 1 in accepting) and bool in map(type, accepting)
         ):
             for q in accepting:  # name the first bad state in the set's order
                 operator.index(q)
                 if not 0 <= q < n:
                     raise ValueError(f"accepting state {q} out of range for {n} states")
+            accepting = frozenset(map(operator.index, accepting))
         set_ = object.__setattr__  # one call each: construction is hot for small automata
         set_(self, "alphabet", alphabet)
         set_(self, "start", start)
@@ -211,20 +217,23 @@ class Dfa(_Frozen):
 
 def _check_rows(
     alphabet: tuple[str, ...], n: int, rows: Iterable[tuple[int, Sequence[int]]]
-) -> None:
+) -> bool:
     """Raise for the first numbered row of the wrong width, or the first
     transition that is not an integer or lies outside ``0..n-1``, in
-    row-major order."""
+    row-major order; else return whether some transition is not an ``int``."""
+    not_int = False
     for q, row in rows:
         if len(row) != len(alphabet):
             raise ValueError(f"state {q}: expected {len(alphabet)} transitions, got {len(row)}")
         for s, target in enumerate(row):
             if target.__class__ is not int:
                 operator.index(target)  # TypeError unless an integer, such as numpy's
+                not_int = True
             if not 0 <= target < n:
                 raise ValueError(
                     f"transition ({q}, {_clip(alphabet[s])}) targets invalid state {target}"
                 )
+    return not_int
 
 
 @dataclass(frozen=True)
@@ -256,9 +265,13 @@ class Nfa:
                 raise ValueError(f"state {q}: expected {len(self.alphabet)} successor sets")
             for cell in row:
                 for target in cell:
+                    if target.__class__ is not int:
+                        operator.index(target)  # TypeError unless an integer, such as numpy's
                     if not 0 <= target < n:
                         raise ValueError(f"state {q}: successor {target} out of range")
-        for q in self.initial | self.accepting:
+        for q in chain(self.initial, self.accepting):
+            if q.__class__ is not int:
+                operator.index(q)
             if not 0 <= q < n:
                 raise ValueError(f"state {q} out of range for {n} states")
 
@@ -361,10 +374,10 @@ def dead_states(d: Dfa) -> frozenset[int]:
 # A numpy search step costs tens of microseconds however few ids it takes,
 # so it only pays on wide frontiers: the catenation build hands its Python
 # walk over to a numpy search by BFS levels once more than this many found
-# ids wait in its queue, and ``language_equivalent`` takes its waiting pairs
-# in numpy while more than this many wait. A deep, narrow automaton never
-# gets there; of 33,048 random pairs of up to six states and three letters,
-# none did in the catenation build.
+# ids wait in its queue, and the pair search that decides language and state
+# equivalence takes its waiting pairs in numpy while more than this many
+# wait. A deep, narrow automaton never gets there; of 33,048 random pairs of
+# up to six states and three letters, none did in the catenation build.
 _DENSE_MIN_QUEUE = 64
 
 # Around this many states the numpy refinement overtakes the dict loop;
@@ -526,26 +539,16 @@ def _bfs_levels(
     return np.concatenate(levels), number[np.concatenate(rows)] - 1
 
 
-def _partition_blocks(d: Dfa) -> list[int]:
-    """Block id per state, equal iff no word distinguishes the two states.
-
-    All states take part, reachable or not. Large automata are refined in
-    numpy, small ones by the dict loop; both give the same partition.
-    """
-    if d.state_count < _VECTOR_MIN_STATES:
-        return _moore_loop(d)
-    return _moore_vector(d._table, _accepting_flags(d)).tolist()
-
-
 def state_equivalent(d: Dfa, q1: int, q2: int) -> bool:
-    """True iff the two states accept exactly the same words."""
+    """True iff the two states accept exactly the same words, by
+    ``language_equivalent``'s pair search started from ``(q1, q2)``."""
+    q1, q2 = operator.index(q1), operator.index(q2)
     for q in (q1, q2):
         if not 0 <= q < d.state_count:
             raise ValueError(f"state {q} out of range for {d.state_count} states")
     if q1 == q2:
         return True
-    blocks = _partition_blocks(d)
-    return blocks[q1] == blocks[q2]
+    return _agree(d, d, q1, q2)
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -623,13 +626,20 @@ def _quotient(
 
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Exact language equality, by product search for a distinguishing pair.
+    """Exact language equality: ``_agree`` from the two start states."""
+    _require_same_alphabet(d1, d2)
+    return _agree(d1, d2, d1.start, d2.start)
 
-    The search visits the pairs ``(p, q)`` of states that one word reaches
-    in ``d1`` and ``d2``, each packed as the key ``p * n2 + q`` (``n2`` the
-    state count of ``d2``), and fails at a pair where only one side
-    accepts. Found keys wait in one queue. Any visiting order gives the
-    same verdict, so two steps share the queue as its length changes: while
+
+def _agree(d1: Dfa, d2: Dfa, p: int, q: int) -> bool:
+    """True iff state ``p`` of ``d1`` and state ``q`` of ``d2`` accept the
+    same words, by product search for a distinguishing pair.
+
+    The search visits the pairs of states that one word reaches from
+    ``(p, q)``, each packed as the key ``p * n2 + q`` (``n2`` the state
+    count of ``d2``), and fails at a pair where only one side accepts.
+    Found keys wait in one queue. Any visiting order gives the same
+    verdict, so two steps share the queue as its length changes: while
     at most ``_DENSE_MIN_QUEUE`` keys wait, a Python step visits the first
     one, reading a table-backed automaton one row at a time; while more
     wait, a numpy step visits all of them at once on the two tables.
@@ -638,12 +648,11 @@ def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
     fit an int64 whenever ``n1 * n2 <= 2**63``; past that only the Python
     step runs, on Python ints.
     """
-    _require_same_alphabet(d1, d2)
     row1, row2 = d1._row_reader(), d2._row_reader()
     acc1, acc2 = d1.accepting, d2.accepting
     n2 = d2.state_count
     narrow = _DENSE_MIN_QUEUE if d1.state_count * n2 <= 1 << 63 else float("inf")
-    key = d1.start * n2 + d2.start
+    key = p * n2 + q
     seen = {key}
     waiting = [key]
     tables = None  # the tables and accepting flags, made by the first numpy step

@@ -35,7 +35,6 @@ from orthocat.core import (
     _accepting_flags,
     _moore_loop,
     _moore_vector,
-    _partition_blocks,
 )
 from orthocat.fileformat import serialize_automaton
 from orthocat.oracle import acceptance_table, residual_count
@@ -161,6 +160,35 @@ class TestStateEquivalence:
         with pytest.raises(ValueError, match="out of range"):
             state_equivalent(witness_b(3), 0, 9)
 
+    def test_integer_arguments(self):
+        d = two_sink_dfa()
+        for q1, q2 in ((0.0, 1), (1, 2.0), (0.5, 1), (1.0, 1)):
+            with pytest.raises(TypeError):
+                state_equivalent(d, q1, q2)
+        assert state_equivalent(d, np.int64(1), np.uint8(2))
+        assert not state_equivalent(d, np.int32(0), np.int64(1))
+        assert state_equivalent(d, True, 2) and not state_equivalent(d, False, True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 150),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_matches_moore_partition(self, n, k, copies, table, seed):
+        # copies of each state make equivalent pairs, which random automata
+        # of more than a few states hardly have; some states are unreachable
+        d = inflated(random_dfa(max(1, n // copies), k, 0.5, seed), copies, seed)
+        blocks = _moore_loop(d)
+        d = as_table(d) if table else d
+        for waiting in QUEUE_LIMITS:
+            with patch.object(orthocat.core, "_DENSE_MIN_QUEUE", waiting):
+                for p in range(d.state_count):
+                    for q in range(p + 1, d.state_count):
+                        assert state_equivalent(d, p, q) is (blocks[p] == blocks[q])
+
 
 class TestMinimize:
     def test_witness_b3_already_minimal(self):
@@ -184,8 +212,7 @@ class TestMinimize:
         small = minimize(d)
         assert small.state_count <= d.state_count
         assert reachable_states(small) == frozenset(range(small.state_count))
-        blocks = _partition_blocks(small)
-        assert len(set(blocks)) == small.state_count
+        assert len(set(_moore_loop(small))) == small.state_count
 
     def test_preserves_membership_up_to_length_8(self):
         for d, _ in dfa_pairs(0x3141_0001, 30, max_m=5, max_n=1):
@@ -251,11 +278,16 @@ class TestMooreRoutes:
                     d = random_dfa(n, k, prob, next(draws))
                     assert same_partition(vector_blocks(d), _moore_loop(d))
 
-    def test_dispatch_by_size(self):
-        small = unary_lasso(_VECTOR_MIN_STATES - 1, 5, 0b1001)
-        large = unary_lasso(_VECTOR_MIN_STATES, 5, 0b1001)
-        assert _partition_blocks(small) == _moore_loop(small)
-        assert _partition_blocks(large) == vector_blocks(large)
+    def test_dispatch_by_size(self, monkeypatch):
+        routes = []
+        for name in ("_minimize_loop", "_minimize_table"):
+            route = getattr(orthocat.core, name)
+            spy = lambda d, name=name, route=route: routes.append(name) or route(d)
+            monkeypatch.setattr(orthocat.core, name, spy)
+        # a cycle with one accepting state is minimal
+        for n in (_VECTOR_MIN_STATES - 1, _VECTOR_MIN_STATES):
+            assert minimize(unary_lasso(n, 0, 1)).state_count == n
+        assert routes == ["_minimize_loop", "_minimize_table"]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**64 - 1))
@@ -463,6 +495,24 @@ class TestNfaConstruction:
     def test_rejects_malformed(self, delta, initial, message):
         with pytest.raises(ValueError, match=message):
             Nfa(("a", "b"), delta, frozenset(initial), frozenset())
+
+    @pytest.mark.parametrize(
+        "delta,initial,accepting",
+        [
+            ([[{0.5}]], {0}, set()),
+            ([[{0}]], {0.0}, set()),
+            ([[{0}]], {0}, {0.0}),
+        ],
+        ids=["successor", "initial", "accepting"],
+    )
+    def test_rejects_float_states(self, delta, initial, accepting):
+        with pytest.raises(TypeError):
+            Nfa(("a",), delta, initial, accepting)
+
+    def test_accepts_numpy_integer_states(self):
+        n = Nfa(("a",), [[{np.int64(1)}], [{np.uint8(0)}]], {np.int32(0)}, {np.int64(1)})
+        assert nfa_accepts(n, "a") and not nfa_accepts(n, "aa")
+        assert determinize(n) == Dfa(("a",), ((1,), (0,)), 0, {1})
 
 
 class TestDeterminize:

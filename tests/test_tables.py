@@ -334,6 +334,20 @@ class TestDfaForms:
         assert minimize(d) == minimize(expected)
         assert serialize_automaton(d) == serialize_automaton(expected)
 
+    @pytest.mark.parametrize("table", [False, True], ids=["rows", "table"])
+    @pytest.mark.parametrize("kind", [bool, np.int64, np.uint8], ids=["bool", "int64", "uint8"])
+    def test_integer_states_serialize_as_their_int_twin(self, table, kind):
+        twin = Dfa(("a", "b"), ((1, 0), (0, 1)), 1, {0, 1})
+        rows = tuple(tuple(map(kind, row)) for row in twin.delta)
+        # beside an int 0, a bool 1 is not the least member
+        for accepting in ({kind(0), kind(1)}, {0, kind(1)}):
+            d = Dfa(twin.alphabet, np.array(rows) if table else rows, kind(1), accepting)
+            text = serialize_automaton(d)
+            assert text == serialize_automaton(twin)
+            assert parse_automaton(text) == d == twin and hash(d) == hash(twin)
+            states = (d.start, *d.accepting, *(t for row in d.delta for t in row))
+            assert all(q.__class__ is int for q in states)
+
     def test_rows_derived_on_first_use(self):
         d = as_table(witness_a(4))
         assert d.state_count == 4 and "delta" not in vars(d)
