@@ -23,6 +23,7 @@ from .core import (
     _bfs_levels,
     _Frozen,
     _require_same_alphabet,
+    _state,
 )
 
 # Second-automaton subsets are bitmasks held in Python ints, which have no
@@ -257,7 +258,6 @@ def build_catenation_nfa(a: Dfa, b: Dfa) -> Nfa:
 def valid_second_components(a: Dfa, b: Dfa, q: int) -> frozenset[frozenset[int]]:
     """All sets X of b-states occurring with first component q among the
     reachable catenation-DFA states; empty when q never shows up."""
-    if not 0 <= q < a.state_count:
-        raise ValueError(f"state {q} out of range for {a.state_count} states")
+    q = _state(q, a.state_count, "state")
     masks = {mask for p, mask in build_catenation_dfa(a, b).keys if p == q}
     return frozenset(_mask_members(mask) for mask in masks)

@@ -80,8 +80,9 @@ class Dfa(_Frozen):
     the rows on first use of ``delta``; so the numpy routes can make and
     read a large automaton without ever building its rows in Python. States
     must be integers: Python's, numpy's or any other type with
-    ``__index__``; ``accepting`` may also be a 1-D integer numpy array.
-    Equality and hashing go by content, whatever the form.
+    ``__index__``; ``accepting`` may also be a 1-D integer numpy array. The
+    automaton keeps every state as a Python int. Equality and hashing go by
+    content, whatever the form.
     """
 
     alphabet: tuple[str, ...]
@@ -103,15 +104,6 @@ class Dfa(_Frozen):
         accepting: Iterable[int],
     ) -> None:
         alphabet = tuple(alphabet)
-        # a 1-D integer array is range-checked in numpy below, then frozen;
-        # anything else is frozen here and checked member by member
-        checked = (
-            isinstance(accepting, np.ndarray)
-            and accepting.ndim == 1
-            and accepting.dtype.kind in "iu"
-        )
-        if not checked:
-            accepting = frozenset(accepting)
         _check_alphabet(alphabet)
         if isinstance(delta, np.ndarray) and delta.ndim == 2:
             rows = None
@@ -130,26 +122,16 @@ class Dfa(_Frozen):
             # the first offending row in row-major order gets the rows' message
             q = int(np.argwhere((table < 0) | (table >= n))[0, 0]) if width == len(alphabet) else 0
             _check_rows(alphabet, n, [(q, table[q].tolist())])
-        if start.__class__ is not int:
-            start = operator.index(start)  # TypeError unless an integer, such as numpy's
-        if not 0 <= start < n:
-            raise ValueError(f"start state {start} out of range for {n} states")
-        if checked:
-            checked = not accepting.size or (accepting.min() >= 0 and accepting.max() < n)
-            accepting = frozenset(accepting.tolist())
-        # a sum of ints is an int: a float or a numpy integer takes the loop,
-        # and so does a bool, which can only be a member equal to 0 or 1
-        if not checked and accepting and (
-            min(accepting) < 0
-            or max(accepting) >= n
-            or sum(accepting).__class__ is not int
-            or (0 in accepting or 1 in accepting) and bool in map(type, accepting)
+        start = _state(start, n, "start state")
+        if (
+            isinstance(accepting, np.ndarray)
+            and accepting.ndim == 1
+            and accepting.dtype.kind in "iu"
+            and (not accepting.size or accepting.min() >= 0 and accepting.max() < n)
         ):
-            for q in accepting:  # name the first bad state in the set's order
-                operator.index(q)
-                if not 0 <= q < n:
-                    raise ValueError(f"accepting state {q} out of range for {n} states")
-            accepting = frozenset(map(operator.index, accepting))
+            accepting = frozenset(accepting.tolist())
+        else:  # name the first bad state in the set's order
+            accepting = frozenset([_state(q, n, "accepting state") for q in frozenset(accepting)])
         set_ = object.__setattr__  # one call each: construction is hot for small automata
         set_(self, "alphabet", alphabet)
         set_(self, "start", start)
@@ -236,12 +218,24 @@ def _check_rows(
     return not_int
 
 
+def _state(q: int, n: int, what: str) -> int:
+    """``q`` as an ``int``; raise ``TypeError`` unless it is an integer
+    (numpy's and bools are), ``ValueError`` unless it lies in ``0..n-1``."""
+    if q.__class__ is not int:
+        q = operator.index(q)
+    if not 0 <= q < n:
+        raise ValueError(f"{what} {q} out of range for {n} states")
+    return q
+
+
 @dataclass(frozen=True)
 class Nfa:
     """A nondeterministic finite automaton with a set of initial states.
 
     ``delta[q][s]`` is the (possibly empty) successor set; a missing
-    transition is just an empty set.
+    transition is just an empty set. States must be integers, as in
+    ``Dfa``; the automaton keeps its initial and accepting states as Python
+    ints, and successors as given.
     """
 
     alphabet: tuple[str, ...]
@@ -254,8 +248,6 @@ class Nfa:
         object.__setattr__(
             self, "delta", tuple(tuple(frozenset(cell) for cell in row) for row in self.delta)
         )
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
         _check_alphabet(self.alphabet)
         n = len(self.delta)
         if n == 0:
@@ -269,11 +261,11 @@ class Nfa:
                         operator.index(target)  # TypeError unless an integer, such as numpy's
                     if not 0 <= target < n:
                         raise ValueError(f"state {q}: successor {target} out of range")
-        for q in chain(self.initial, self.accepting):
-            if q.__class__ is not int:
-                operator.index(q)
-            if not 0 <= q < n:
-                raise ValueError(f"state {q} out of range for {n} states")
+        for name in ("initial", "accepting"):
+            # one set after the other, each in its own order: a union would
+            # drop 0.0 beside 0
+            states = [_state(q, n, "state") for q in frozenset(getattr(self, name))]
+            object.__setattr__(self, name, frozenset(states))
 
     @property
     def state_count(self) -> int:
@@ -371,19 +363,15 @@ def dead_states(d: Dfa) -> frozenset[int]:
     )
 
 
-# A numpy search step costs tens of microseconds however few ids it takes,
-# so it only pays on wide frontiers: the catenation build hands its Python
-# walk over to a numpy search by BFS levels once more than this many found
-# ids wait in its queue, and the pair search that decides language and state
-# equivalence takes its waiting pairs in numpy while more than this many
-# wait. A deep, narrow automaton never gets there; of 33,048 random pairs of
-# up to six states and three letters, none did in the catenation build.
+# A numpy step costs tens of microseconds however few ids it takes, so it
+# only pays on wide inputs. The catenation build hands its Python walk over
+# to a numpy search by BFS levels once more than this many found ids wait in
+# its queue; the pair search behind language and state equivalence takes its
+# waiting pairs in numpy while more than this many wait; and ``minimize``
+# runs on numpy tables from this many states up. Of 33,048 random pairs of
+# up to six states and three letters, none reached the build's numpy search,
+# and tiny random inputs stay on minimize's dict loops.
 _DENSE_MIN_QUEUE = 64
-
-# Around this many states the numpy refinement overtakes the dict loop;
-# below it numpy's per-call overhead dominates. Tiny random inputs sit below
-# the threshold and the witness catenation DFAs far above it.
-_VECTOR_MIN_STATES = 64
 
 # ``_rank`` counts instead of sorting while the value range is at most this
 # many times the number of values: a pass over a range that small costs less
@@ -542,10 +530,7 @@ def _bfs_levels(
 def state_equivalent(d: Dfa, q1: int, q2: int) -> bool:
     """True iff the two states accept exactly the same words, by
     ``language_equivalent``'s pair search started from ``(q1, q2)``."""
-    q1, q2 = operator.index(q1), operator.index(q2)
-    for q in (q1, q2):
-        if not 0 <= q < d.state_count:
-            raise ValueError(f"state {q} out of range for {d.state_count} states")
+    q1, q2 = _state(q1, d.state_count, "state"), _state(q2, d.state_count, "state")
     if q1 == q2:
         return True
     return _agree(d, d, q1, q2)
@@ -559,13 +544,13 @@ def minimize(d: Dfa) -> Dfa:
     order, which drops unreachable states; equal languages over equal
     alphabets always yield the bit-identical automaton. Any member can stand
     for its block, because equivalent states have equivalent successors.
-    From ``_VECTOR_MIN_STATES`` states up this runs on numpy tables and
+    From ``_DENSE_MIN_QUEUE`` states up this runs on numpy tables and
     returns a table-backed automaton, below it on dict loops; both routes
     give the same automaton. A catenation DFA that carries a congruence
     (the classes of states that differ only in useless second-automaton
     states) is first replaced by its quotient by it on the table route.
     """
-    if d.state_count >= _VECTOR_MIN_STATES:
+    if d.state_count >= _DENSE_MIN_QUEUE:
         return _minimize_table(d)
     return _minimize_loop(d)
 
@@ -659,8 +644,9 @@ def _agree(d1: Dfa, d2: Dfa, p: int, q: int) -> bool:
     while waiting:
         if len(waiting) > narrow:
             if tables is None:
-                tables = d1._table, d2._table, _accepting_flags(d1), _accepting_flags(d2)
-            table1, table2, flags1, flags2 = tables
+                tables = d1._table, _accepting_flags(d1)
+                tables += tables if d2 is d1 else (d2._table, _accepting_flags(d2))
+            table1, flags1, table2, flags2 = tables
             p, q = np.divmod(np.fromiter(waiting, dtype=np.int64, count=len(waiting)), n2)
             if (flags1[p] != flags2[q]).any():
                 return False

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,3 +199,9 @@ class TestValidSecondComponents:
     def test_invalid_state(self):
         with pytest.raises(ValueError, match="out of range"):
             valid_second_components(witness_a(3), witness_b(3), 9)
+
+    def test_state_must_be_an_integer(self):
+        a, b = witness_a(3), witness_b(3)
+        with pytest.raises(TypeError):
+            valid_second_components(a, b, 1.0)
+        assert valid_second_components(a, b, np.int64(1)) == valid_second_components(a, b, 1)

@@ -31,7 +31,6 @@ from orthocat import (
 import orthocat.core
 from orthocat.core import (
     _DENSE_MIN_QUEUE,
-    _VECTOR_MIN_STATES,
     _accepting_flags,
     _moore_loop,
     _moore_vector,
@@ -169,6 +168,15 @@ class TestStateEquivalence:
         assert not state_equivalent(d, np.int32(0), np.int64(1))
         assert state_equivalent(d, True, 2) and not state_equivalent(d, False, True)
 
+    def test_numpy_step_makes_the_flags_once(self, monkeypatch):
+        calls = []
+        flags = orthocat.core._accepting_flags
+        monkeypatch.setattr(orthocat.core, "_accepting_flags", lambda d: calls.append(d) or flags(d))
+        monkeypatch.setattr(orthocat.core, "_DENSE_MIN_QUEUE", 0)
+        d = two_sink_dfa()
+        assert state_equivalent(d, 1, 2) and not state_equivalent(d, 0, 1)
+        assert calls == [d, d]
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(1, 150),
@@ -252,7 +260,7 @@ def large_catenation(seed: int, k: int) -> Dfa:
             a = random_dfa(m % 6 + 3, k, 0.5, next(draws))
             b = random_dfa(n % 4 + 4, k, 0.5, next(draws))
         d = build_catenation_dfa(a, b).dfa
-        if d.state_count >= _VECTOR_MIN_STATES:
+        if d.state_count >= _DENSE_MIN_QUEUE:
             return d
 
 
@@ -285,7 +293,7 @@ class TestMooreRoutes:
             spy = lambda d, name=name, route=route: routes.append(name) or route(d)
             monkeypatch.setattr(orthocat.core, name, spy)
         # a cycle with one accepting state is minimal
-        for n in (_VECTOR_MIN_STATES - 1, _VECTOR_MIN_STATES):
+        for n in (_DENSE_MIN_QUEUE - 1, _DENSE_MIN_QUEUE):
             assert minimize(unary_lasso(n, 0, 1)).state_count == n
         assert routes == ["_minimize_loop", "_minimize_table"]
 
@@ -513,6 +521,7 @@ class TestNfaConstruction:
         n = Nfa(("a",), [[{np.int64(1)}], [{np.uint8(0)}]], {np.int32(0)}, {np.int64(1)})
         assert nfa_accepts(n, "a") and not nfa_accepts(n, "aa")
         assert determinize(n) == Dfa(("a",), ((1,), (0,)), 0, {1})
+        assert all(q.__class__ is int for q in n.initial | n.accepting)
 
 
 class TestDeterminize:

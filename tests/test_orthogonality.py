@@ -1,6 +1,7 @@
 import hashlib
 from itertools import product
 
+import numpy as np
 import pytest
 
 from orthocat import (
@@ -246,6 +247,14 @@ class TestForbiddenSecondComponents:
     def test_invalid_state(self):
         with pytest.raises(ValueError, match="out of range"):
             forbidden_second_component_states(witness_a(3), witness_b(3), 77)
+
+    def test_state_must_be_an_integer(self):
+        a, b = witness_a(3), witness_b(3)
+        with pytest.raises(TypeError):
+            forbidden_second_component_states(a, b, 1.0)
+        assert forbidden_second_component_states(a, b, np.int64(1)) == (
+            forbidden_second_component_states(a, b, 1)
+        )
 
 
 class TestStructuralFilters:

@@ -348,6 +348,13 @@ class TestDfaForms:
             states = (d.start, *d.accepting, *(t for row in d.delta for t in row))
             assert all(q.__class__ is int for q in states)
 
+    @pytest.mark.parametrize("table", [False, True], ids=["rows", "table"])
+    def test_narrow_integer_accepting_states_do_not_overflow(self, table):
+        # 200 + 100 overflows uint8: a sum of the members must not be taken
+        rows = [[0]] * 300
+        d = Dfa(("a",), np.array(rows) if table else rows, 0, {np.uint8(200), np.uint8(100)})
+        assert d.accepting == {100, 200} and all(q.__class__ is int for q in d.accepting)
+
     def test_rows_derived_on_first_use(self):
         d = as_table(witness_a(4))
         assert d.state_count == 4 and "delta" not in vars(d)
