@@ -32,7 +32,8 @@ MAX_SECOND_AUTOMATON_STATES = 62
 
 # The dense build indexes all m * 2**n keys of an (m, n) pair in one array;
 # it runs while that index and its step table (8 bytes a cell, (m + k) *
-# 2**n cells for k letters) stay within this many cells, 128 MB.
+# 2**n cells for k letters) stay within this many cells, 128 MB. The
+# orthogonality search's numpy route keeps to the same budget.
 _DENSE_MAX_CELLS = 1 << 24
 
 

@@ -302,10 +302,14 @@ def _coerce_word(alphabet: tuple[str, ...], w: str | Iterable[int]) -> Word:
         return parse_word(alphabet, w)
     word = tuple(w)
     k = len(alphabet)
+    not_int = False
     for s in word:
+        if s.__class__ is not int:
+            operator.index(s)  # TypeError unless an integer, such as numpy's
+            not_int = True
         if not 0 <= s < k:
             raise ValueError(f"symbol index {s} out of range for alphabet size {k}")
-    return word
+    return tuple(map(operator.index, word)) if not_int else word
 
 
 def accepts(d: Dfa, w: str | Iterable[int]) -> bool:
@@ -367,10 +371,13 @@ def dead_states(d: Dfa) -> frozenset[int]:
 # only pays on wide inputs. The catenation build hands its Python walk over
 # to a numpy search by BFS levels once more than this many found ids wait in
 # its queue; the pair search behind language and state equivalence takes its
-# waiting pairs in numpy while more than this many wait; and ``minimize``
-# runs on numpy tables from this many states up. Of 33,048 random pairs of
-# up to six states and three letters, none reached the build's numpy search,
-# and tiny random inputs stay on minimize's dict loops.
+# waiting pairs in numpy while more than this many wait; the orthogonality
+# search finishes in numpy, one step per BFS level, once a level holds more
+# than this many nodes; and ``minimize`` runs on numpy tables from this many
+# states up. Of 33,048 random pairs of up to six states and three letters,
+# none reached the build's numpy search; the widest orthogonality level over
+# the 16,524 pairs of the random-pipeline benchmark is 24 nodes; and tiny
+# random inputs stay on minimize's dict loops.
 _DENSE_MIN_QUEUE = 64
 
 # ``_rank`` counts instead of sorting while the value range is at most this

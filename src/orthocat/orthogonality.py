@@ -12,8 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catenation import CatDfa, build_catenation_dfa, build_catenation_nfa, valid_second_components
-from .core import Dfa, Word, _bfs_tree, _require_same_alphabet, format_word
+import numpy as np
+
+from .catenation import (
+    _DENSE_MAX_CELLS,
+    CatDfa,
+    build_catenation_dfa,
+    build_catenation_nfa,
+    valid_second_components,
+)
+from .core import _DENSE_MIN_QUEUE, Dfa, Word, _bfs_tree, _require_same_alphabet, format_word
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,13 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     (it is deterministic, and no run returns there from the second's part),
     so the lower state is the run still in the first part until both have
     left it, and :func:`_split_of` counts only states of the first part.
+
+    Levels of at most ``_DENSE_MIN_QUEUE`` nodes are expanded by a Python
+    loop over tuples. Once a level holds more, :func:`_dense_search`
+    finishes the search with one numpy step per level, which meets the
+    nodes in the loop's order and so returns the same witness. It takes
+    over only while its arrays fit ``_DENSE_MAX_CELLS`` int64 cells (about
+    24 * k * (m + n)**2 for k letters); past that the loop runs to the end.
     """
     _require_same_alphabet(a, b)
     nfa = build_catenation_nfa(a, b)
@@ -98,12 +113,26 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     acc = nfa.accepting
     succ = [[tuple(sorted(cell)) for cell in row] for row in nfa.delta]
 
+    bits = len(succ).bit_length()  # 2**bits > m + n, so a spare state fits
+    # The dense route's index and its two flag arrays, and six arrays of the
+    # 4 * k candidates of each node (s <= t, diverged) there is, in case all
+    # wait in one level. Its sort keys pack a node (2 * bits + 1 bits) over a
+    # candidate's place or a (group, symbol) rank, so with at most 2**32
+    # cells each key fits an int64.
+    cells = (3 << 2 * bits) + 24 * k * len(succ) * (len(succ) + 1)
+    narrow = _DENSE_MIN_QUEUE if cells <= _DENSE_MAX_CELLS else float("inf")
+
     Node = tuple[int, int, bool]
     start: Node = (a.start, a.start, False)
     parents: dict[Node, tuple[Node, int] | None] = {start: None}
     frontier: list[list[Node]] = [[start]]  # groups share a word, in lex order
+    count = 1  # nodes in frontier
     while frontier:
+        if count > narrow:
+            hit = _dense_search(succ, acc, bits, parents, frontier)
+            return OrthogonalityVerdict(hit and _witness(hit, parents, a.state_count))
         next_frontier: list[list[Node]] = []
+        count = 0
         for group in frontier:
             for sym in range(k):
                 fresh: list[Node] = []
@@ -122,8 +151,130 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
                     if node[2] and node[0] in acc and node[1] in acc:
                         return OrthogonalityVerdict(_witness(node, parents, a.state_count))
                 next_frontier.append(fresh)
+                count += len(fresh)
         frontier = next_frontier
     return OrthogonalityVerdict(None)
+
+
+def _dense_search(
+    succ: list[list[tuple[int, ...]]],
+    acc: frozenset[int],
+    bits: int,
+    parents: dict,
+    frontier: list[list[tuple[int, int, bool]]],
+) -> tuple[int, int, bool] | None:
+    """Finish the search of :func:`is_orthogonal` from ``frontier`` with one
+    numpy step per BFS level; return the hit node, or None past the last
+    level. The hit's parent chain is added to ``parents``.
+
+    A node ``(s, t, diverged)`` is the key ``(s << bits | t) << 1 | diverged``,
+    so keys sort as the tuples do. A spare state, ``len(succ)``, pads every
+    cell to two successors, and the nodes that hold it count as seen, as do
+    the nodes in ``parents``. ``parent[key]`` is ``up * k + symbol + 1`` for
+    a node found here from the node with key ``up``, and 0 otherwise.
+
+    Each step lays the candidates out in the order the Python loop meets
+    them: group, symbol, node within its group, then the two successors.
+    The first occurrence of a new node there is the parent the loop picks;
+    the next level's groups are the new nodes sorted by the (group, symbol)
+    of that occurrence, then by node; and the loop's hit is the first hit in
+    that order.
+    """
+    k = len(succ[0])
+    spare, low, shift, keybits = len(succ), (1 << bits) - 1, bits + 1, 2 * bits + 1
+    table = np.full((1 << bits, k, 2), spare, dtype=np.int64)
+    table[:spare] = [[cell + (spare,) * (2 - len(cell)) for cell in row] for row in succ]
+    # the successors of s and of t for the four choices of a symbol, in order
+    firsts = table[:, :, [0, 0, 1, 1]].reshape(1 << bits, 4 * k)
+    seconds = table[:, :, [0, 1, 0, 1]].reshape(1 << bits, 4 * k)
+    flags = np.zeros(1 << bits, dtype=bool)
+    flags[list(acc)] = True
+    hit = np.zeros((1 << bits, 1 << bits, 2), dtype=bool)
+    hit[:, :, 1] = np.logical_and.outer(flags, flags)
+    hit = hit.ravel()  # diverged, and both accepting
+
+    def keys_of(nodes: list[tuple[int, int, bool]]) -> np.ndarray:
+        stv = np.array(nodes, dtype=np.int64)
+        return (stv[:, 0] << bits | stv[:, 1]) << 1 | stv[:, 2]
+
+    parent = np.zeros(1 << keybits, dtype=np.int64)
+    unseen = np.ones(1 << keybits, dtype=bool)
+    unseen[keys_of(list(parents))] = False
+    padded = (np.arange(spare + 1) << bits | spare) << 1
+    unseen[padded] = unseen[padded | 1] = False
+
+    sizes = [len(group) for group in frontier]
+    keys = keys_of([node for group in frontier for node in group])
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    edges = np.cumsum([0, *sizes])  # where each group starts, then the end
+    symbols, steps = np.arange(k), np.arange(1, k + 1)
+    while True:
+        n = len(keys)
+        start = edges.take(group)
+        # each (node, symbol) by its group and symbol, then by its place in
+        # the loop's order, and the (node, symbol) at each place
+        blocks = np.multiply.outer(edges.take(group + 1) - start, symbols)
+        blocks += (start * k)[:, None]
+        places = blocks + (np.arange(n) - start)[:, None]
+        at = np.empty(n * k, dtype=np.int64)
+        at[places.ravel()] = np.arange(n * k)
+        s2, t2 = firsts.take(keys >> shift, 0), seconds.take(keys >> 1 & low, 0)
+        cand = np.minimum(s2, t2)
+        cand <<= bits
+        cand |= np.maximum(s2, t2)
+        cand <<= 1
+        cand |= s2 != t2
+        cand |= (keys & 1)[:, None]
+        del s2, t2  # at most six candidate-sized arrays live, as the budget counts
+        cand = cand.reshape(n * k, 4).take(at, 0).ravel()
+        order = np.flatnonzero(unseen.take(cand))
+        if not len(order):
+            return None
+        bound = len(cand).bit_length()
+        packed = cand.take(order) << bound
+        packed |= order
+        packed.sort()
+        node = packed >> bound
+        first = np.empty(len(node), dtype=bool)
+        first[0] = True
+        np.not_equal(node[1:], node[:-1], out=first[1:])
+        node = node[first]
+        packed = packed[first]
+        packed &= (1 << bound) - 1
+        packed >>= 2
+        source = at.take(packed)  # the (node, symbol) each new node comes from
+        unseen[node] = False
+        parent[node] = np.add.outer(keys * k, steps).take(source)
+        packed = blocks.take(source) << keybits
+        packed |= node
+        packed.sort()
+        keys = packed & (1 << keybits) - 1
+        hits = hit.take(keys)
+        if hits.any():
+            return _merge_chain(int(keys[hits.argmax()]), parent, k, bits, parents)
+        packed >>= keybits
+        first = np.empty(len(keys) + 1, dtype=bool)
+        first[0] = first[-1] = True
+        np.not_equal(packed[1:], packed[:-1], out=first[1:-1])
+        edges = np.flatnonzero(first)
+        group = np.cumsum(first[:-1]) - 1
+
+
+def _merge_chain(
+    hit: int, parent: np.ndarray, k: int, bits: int, parents: dict
+) -> tuple[int, int, bool]:
+    """Add the dense parent chain of key ``hit`` to ``parents``, down to the
+    first node found before the handover; return the hit as a node."""
+
+    def node(key: int) -> tuple[int, int, bool]:
+        return key >> bits + 1, key >> 1 & (1 << bits) - 1, bool(key & 1)
+
+    key = hit
+    while edge := int(parent[key]):
+        up, sym = divmod(edge - 1, k)
+        parents[node(key)] = (node(up), sym)
+        key = up
+    return node(hit)
 
 
 def _witness(hit: tuple[int, int, bool], parents: dict, m: int) -> AmbiguityWitness:

@@ -110,6 +110,21 @@ class TestAccepts:
         with pytest.raises(ValueError, match="out of range"):
             accepts(witness_a(3), (0, 7))
 
+    def test_symbols_must_be_integers(self):
+        with pytest.raises(TypeError):
+            witness_a(3).word((0.0, 1.0))
+        with pytest.raises(TypeError):
+            accepts(witness_a(3), (0.5,))
+        # no initial states: the word is checked although no state reads it
+        n = Nfa(("a",), ((frozenset(),),), frozenset(), frozenset())
+        with pytest.raises(TypeError):
+            nfa_accepts(n, (0.5,))
+
+    def test_numpy_integer_symbols_become_ints(self):
+        word = witness_a(3).word((np.int64(1), np.uint8(0), True))
+        assert word == (1, 0, 1) and all(s.__class__ is int for s in word)
+        assert accepts(witness_a(3), (np.int32(1),))
+
 
 class TestReachability:
     def test_witness_a4_all_reachable(self):

@@ -1,8 +1,11 @@
 import hashlib
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthocat import (
     AcceptingCycleError,
@@ -28,12 +31,24 @@ from orthocat import (
     witness_a,
     witness_b,
 )
+import orthocat.orthogonality
+from orthocat.core import _DENSE_MIN_QUEUE
 from orthocat.oracle import brute_force_orthogonal, factorization_count_table, factorizations
 
 from conftest import dfa_pairs
 from test_catenation import single_word_dfa
 
 CYCLE_CORPUS_SEED = 0x0C1C_0006
+
+# handover thresholds for the search: the numpy route from the first level,
+# from the first level wider than the default, and never
+QUEUE_LIMITS = (0, _DENSE_MIN_QUEUE, 10**9)
+
+
+def _handover_above(limit):
+    """Make ``is_orthogonal`` take the numpy route once a level holds more
+    than ``limit`` nodes."""
+    return patch.object(orthocat.orthogonality, "_DENSE_MIN_QUEUE", limit)
 
 
 def sigma_star_dfa(alphabet=("x",)) -> Dfa:
@@ -321,6 +336,12 @@ class TestStagePinned:
     down, a rewrite that had to leave every one of these results alone."""
 
     def test_results_are_pinned(self, ortho_corpus):
+        for limit in QUEUE_LIMITS:
+            with _handover_above(limit):
+                digest = self._digest(ortho_corpus)
+            assert digest == "d3be07164415094072cce00f4bfba71a25ca276c18d8bb032137c06db67445ce", limit
+
+    def _digest(self, ortho_corpus):
         results = []
         # several splits at the shortest ambiguous word, so the two reported
         # depend on which product node the search meets first
@@ -346,8 +367,7 @@ class TestStagePinned:
         mixed = [(unary_star_dfa(m, "a"), unary_star_dfa(n, "b")) for m in range(1, 5) for n in range(1, 5)]
         mixed += [(a, b) for (a, _), (_, b) in zip(ortho_corpus[:200], ortho_corpus[200:400])]
         results += [_nfa_key(build_catenation_nfa(a, b)) for a, b in mixed]
-        digest = hashlib.sha256(repr(results).encode()).hexdigest()
-        assert digest == "d3be07164415094072cce00f4bfba71a25ca276c18d8bb032137c06db67445ce"
+        return hashlib.sha256(repr(results).encode()).hexdigest()
 
 
 class TestLongWitnessPinned:
@@ -356,7 +376,48 @@ class TestLongWitnessPinned:
     the search that expanded each diverged node and its mirror apart."""
 
     def test_word_and_splits_are_pinned(self):
-        witness = is_orthogonal(witness_b(200), witness_a(200)).witness
-        assert len(witness.word) == 397
-        digest = hashlib.sha256(repr(_witness_key(witness)).encode()).hexdigest()
-        assert digest == "990a92ed05d186a09585bb573780ae1cc9ba499c7006c2d9b8a3742ab177c749"
+        for limit in QUEUE_LIMITS:
+            with _handover_above(limit):
+                witness = is_orthogonal(witness_b(200), witness_a(200)).witness
+            assert len(witness.word) == 397
+            digest = hashlib.sha256(repr(_witness_key(witness)).encode()).hexdigest()
+            assert digest == "990a92ed05d186a09585bb573780ae1cc9ba499c7006c2d9b8a3742ab177c749", limit
+
+
+class TestDenseRoute:
+    """The numpy route that finishes wide searches, against the Python loop
+    it takes over from."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_same_witness_at_every_handover(self, seed):
+        pairs = dfa_pairs(seed, 20, max_m=6, max_n=6)
+        results = []
+        for limit in QUEUE_LIMITS:
+            with _handover_above(limit):
+                results.append([_witness_key(is_orthogonal(a, b).witness) for a, b in pairs])
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("m", [40, 200])
+    def test_wide_witness_searches_take_it(self, m, monkeypatch):
+        pairs = [(witness_a(m), witness_b(m)), (witness_b(m), witness_a(m))]
+        with _handover_above(10**9):
+            expected = [_witness_key(is_orthogonal(a, b).witness) for a, b in pairs]
+        widths = []
+        dense = orthocat.orthogonality._dense_search
+        monkeypatch.setattr(
+            orthocat.orthogonality,
+            "_dense_search",
+            lambda *args: widths.append(sum(map(len, args[-1]))) or dense(*args),
+        )
+        assert expected[0] is None and expected[1] is not None
+        assert [_witness_key(is_orthogonal(a, b).witness) for a, b in pairs] == expected
+        assert len(widths) == (2 if m == 200 else 1)  # (a40, b40) stays narrow
+        assert min(widths) > _DENSE_MIN_QUEUE
+
+    def test_not_taken_past_the_budget(self, monkeypatch):
+        pair = witness_b(200), witness_a(200)
+        expected = _witness_key(is_orthogonal(*pair).witness)
+        monkeypatch.setattr(orthocat.orthogonality, "_DENSE_MAX_CELLS", 1)
+        monkeypatch.setattr(orthocat.orthogonality, "_dense_search", None)  # a call would fail
+        assert _witness_key(is_orthogonal(*pair).witness) == expected
