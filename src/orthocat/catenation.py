@@ -19,7 +19,6 @@ from .core import (
     _DENSE_MIN_QUEUE,
     Dfa,
     Nfa,
-    _accepting_flags,
     _bfs_levels,
     _Frozen,
     _require_same_alphabet,
@@ -160,9 +159,7 @@ def _build_loop(a: Dfa, b: Dfa, limit: int | None = None) -> CatDfa | None:
     # with many first components, so each is worked out once per symbol.
     step: list[dict[int, int]] = [{} for _ in range(k)]
     b_start = 1 << b.start
-    fb_mask = 0
-    for p in b.accepting:
-        fb_mask |= 1 << p
+    fb_mask = sum(1 << p for p in b.accepting)
     start_key = (a.start, b_start if a.start in a.accepting else 0)
     index = {start_key: 0}
     keys = [start_key]
@@ -189,8 +186,7 @@ def _build_loop(a: Dfa, b: Dfa, limit: int | None = None) -> CatDfa | None:
         if limit is not None and len(keys) - len(rows) > limit:
             return None
     accepting = frozenset(i for i, (_, mask) in enumerate(keys) if mask & fb_mask)
-    dfa = Dfa(alphabet=a.alphabet, delta=tuple(rows), start=0, accepting=accepting)
-    return CatDfa(dfa, tuple(keys))
+    return CatDfa(Dfa._make(a.alphabet, tuple(rows), 0, accepting), tuple(keys))
 
 
 def _build_dense(a: Dfa, b: Dfa) -> CatDfa:
@@ -208,7 +204,7 @@ def _build_dense(a: Dfa, b: Dfa) -> CatDfa:
     for p, row in enumerate(b._table):
         step[1 << p : 2 << p] = step[: 1 << p] | 1 << row
     # spawn[q]: the bit a move into q adds, b's start state iff q accepts
-    spawn = np.where(_accepting_flags(a), 1 << b.start, 0)
+    spawn = np.where(a._flags, 1 << b.start, 0)
     a_table, low = a._table, (1 << nb) - 1
 
     def successors(keys: np.ndarray) -> np.ndarray:
@@ -218,7 +214,6 @@ def _build_dense(a: Dfa, b: Dfa) -> CatDfa:
     start = a.start << nb | int(spawn[a.start])
     keys, rows = _bfs_levels(start, a.state_count << nb, successors)
     fb_mask = sum(1 << p for p in b.accepting)
-    dfa = Dfa(a.alphabet, rows, 0, np.flatnonzero(keys & fb_mask))
     # the b-states that can reach b's accepting set, by backward search
     useful, grown = -1, fb_mask
     while grown != useful:
@@ -226,10 +221,10 @@ def _build_dense(a: Dfa, b: Dfa) -> CatDfa:
         for p, row in enumerate(b.delta):
             if any(useful >> t & 1 for t in row):
                 grown |= 1 << p
-    if useful != low:
-        # A useless b-state steps only to useless ones and never accepts, so
-        # (q, X) and (q, X minus the useless states) accept the same words.
-        dfa._set_congruence(keys, ~(low ^ useful))
+    # A useless b-state steps only to useless ones and never accepts, so
+    # (q, X) and (q, X minus the useless states) accept the same words.
+    congruence = (keys, ~(low ^ useful)) if useful != low else None
+    dfa = Dfa._make(a.alphabet, rows, 0, (keys & fb_mask) != 0, congruence)
     return CatDfa._packed(dfa, keys, nb)
 
 

@@ -47,7 +47,7 @@ def parse_word(alphabet: Sequence[str], text: str) -> Word:
 
 def format_word(alphabet: Sequence[str], word: Iterable[int]) -> str:
     """Render a word with the alphabet's symbol names; the empty word is shown as ε."""
-    names = [alphabet[s] for s in word]
+    names = [alphabet[s] for s in _coerce_word(alphabet, word)]
     if not names:
         return "ε"
     if all(len(n) == 1 for n in names):
@@ -80,19 +80,18 @@ class Dfa(_Frozen):
     the rows on first use of ``delta``; so the numpy routes can make and
     read a large automaton without ever building its rows in Python. States
     must be integers: Python's, numpy's or any other type with
-    ``__index__``; ``accepting`` may also be a 1-D integer numpy array. The
-    automaton keeps every state as a Python int. Equality and hashing go by
-    content, whatever the form.
+    ``__index__``; the automaton keeps every state as a Python int, and
+    ``accepting``, a frozenset, or ``_flags``, one bool per state, as its
+    maker made it; the other is made on first use. == and hash go by content.
     """
 
     alphabet: tuple[str, ...]
     start: int
-    accepting: frozenset[int]
     state_count: int
+    _stored_table: np.ndarray | None = None
 
-    # ``(codes, keep)``: states whose ``codes`` agree on the bits of
-    # ``keep`` are equivalent, and the relation is a congruence. Only the
-    # catenation build sets one, through ``_set_congruence``; ``minimize``
+    # ``(codes, keep)``: states whose ``codes`` agree on the bits of ``keep``
+    # are equivalent, a congruence given by the catenation build; ``minimize``
     # refines its quotient, and ==, hash, repr and serialization ignore it.
     _congruence: tuple[np.ndarray, int] | None = None
 
@@ -106,51 +105,70 @@ class Dfa(_Frozen):
         alphabet = tuple(alphabet)
         _check_alphabet(alphabet)
         if isinstance(delta, np.ndarray) and delta.ndim == 2:
-            rows = None
-            table = delta.astype(np.int64, casting="safe")
-            table.flags.writeable = False
-            n, width = table.shape
+            delta = delta.astype(np.int64, casting="safe")
+            n, width = delta.shape
         else:
-            rows, table = tuple(tuple(row) for row in delta), None
-            n = len(rows)
+            delta = tuple(tuple(row) for row in delta)
+            n = len(delta)
         if n == 0:
             raise ValueError("an automaton needs at least one state")
-        if rows is not None:
-            if _check_rows(alphabet, n, enumerate(rows)):
-                rows = tuple(tuple(map(operator.index, row)) for row in rows)
-        elif width != len(alphabet) or table.min() < 0 or table.max() >= n:
+        if isinstance(delta, tuple):
+            if _check_rows(alphabet, n, enumerate(delta)):
+                delta = tuple(tuple(map(operator.index, row)) for row in delta)
+        elif width != len(alphabet) or delta.min() < 0 or delta.max() >= n:
             # the first offending row in row-major order gets the rows' message
-            q = int(np.argwhere((table < 0) | (table >= n))[0, 0]) if width == len(alphabet) else 0
-            _check_rows(alphabet, n, [(q, table[q].tolist())])
+            q = int(np.argwhere((delta < 0) | (delta >= n))[0, 0]) if width == len(alphabet) else 0
+            _check_rows(alphabet, n, [(q, delta[q].tolist())])
         start = _state(start, n, "start state")
-        if (
-            isinstance(accepting, np.ndarray)
-            and accepting.ndim == 1
-            and accepting.dtype.kind in "iu"
-            and (not accepting.size or accepting.min() >= 0 and accepting.max() < n)
-        ):
-            accepting = frozenset(accepting.tolist())
-        else:  # name the first bad state in the set's order
-            accepting = frozenset([_state(q, n, "accepting state") for q in frozenset(accepting)])
-        set_ = object.__setattr__  # one call each: construction is hot for small automata
+        # name the first bad state in the set's order
+        accepting = frozenset([_state(q, n, "accepting state") for q in frozenset(accepting)])
+        self._fill(alphabet, delta, start, accepting)
+
+    @classmethod
+    def _make(cls, alphabet, delta, start, accepting, congruence=None) -> Dfa:
+        """The automaton of parts the library has just made, checked and let
+        go: ``delta`` rows of ints or an int64 table, ``accepting`` a frozenset
+        or one bool per state. Nothing is checked or copied."""
+        return cls.__new__(cls)._fill(alphabet, delta, start, accepting, congruence)
+
+    def _fill(self, alphabet, delta, start, accepting, congruence=None) -> Dfa:
+        """Keep the parts as ``_make`` takes them, arrays made read-only; return self."""
+        set_ = object.__setattr__  # one call a field, no instance dict: construction is hot
         set_(self, "alphabet", alphabet)
         set_(self, "start", start)
-        set_(self, "accepting", accepting)
-        set_(self, "state_count", n)
-        set_(self, "_stored_table", table)
-        if rows is not None:
-            set_(self, "delta", rows)
-
-    def _set_congruence(self, codes: np.ndarray, keep: int) -> None:
-        """Give this automaton, while its maker still holds it alone, the
-        congruence ``(codes, keep)``; ``codes`` is one int64 per state."""
-        object.__setattr__(self, "_congruence", (codes, keep))
+        set_(self, "state_count", len(delta))
+        if isinstance(delta, tuple):
+            set_(self, "delta", delta)
+        else:
+            delta.flags.writeable = False
+            set_(self, "_stored_table", delta)
+        if isinstance(accepting, frozenset):
+            set_(self, "accepting", accepting)
+        else:
+            accepting.flags.writeable = False
+            set_(self, "_flags", accepting)
+        if congruence is not None:
+            set_(self, "_congruence", congruence)
+        return self
 
     @cached_property
     def delta(self) -> tuple[tuple[int, ...], ...]:
         """The transitions as rows of ints; made from the table on first use
         and kept, because Python code reads them one cell at a time."""
         return tuple(map(tuple, self._stored_table.tolist()))
+
+    @cached_property
+    def accepting(self) -> frozenset[int]:
+        """The accepting states; made from the flags on first use and kept."""
+        return frozenset(np.flatnonzero(self._flags).tolist())
+
+    @cached_property
+    def _flags(self) -> np.ndarray:
+        """One read-only bool per state; made from ``accepting`` on first use."""
+        flags = np.zeros(self.state_count, dtype=bool)
+        flags[list(self.accepting)] = True
+        flags.flags.writeable = False
+        return flags
 
     @property
     def _table(self) -> np.ndarray:
@@ -159,8 +177,7 @@ class Dfa(_Frozen):
         table = self._stored_table
         if table is None:
             n, k = self.state_count, len(self.alphabet)
-            table = np.fromiter(chain.from_iterable(self.delta), dtype=np.int64, count=n * k)
-            table = table.reshape(n, k)
+            table = np.fromiter(chain.from_iterable(self.delta), np.int64, n * k).reshape(n, k)
             table.flags.writeable = False
         return table
 
@@ -172,19 +189,14 @@ class Dfa(_Frozen):
             return self.delta.__getitem__
         return lambda q: table[q].tolist()
 
+    def _key(self) -> tuple:  # what == and hash compare, whatever the forms
+        return (self.alphabet, self.start, self._flags.tobytes(), self._table.tobytes())
+
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dfa):
-            return NotImplemented
-        if (self.alphabet, self.start, self.accepting) != (
-            other.alphabet, other.start, other.accepting
-        ):
-            return False
-        if self._stored_table is None and other._stored_table is None:
-            return self.delta == other.delta
-        return bool(np.array_equal(self._table, other._table))
+        return self._key() == other._key() if isinstance(other, Dfa) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.start, self.accepting, self._table.tobytes()))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (
@@ -495,13 +507,6 @@ def _moore_vector(table: np.ndarray, flags: np.ndarray) -> np.ndarray:
         n_blocks = count
 
 
-def _accepting_flags(d: Dfa) -> np.ndarray:
-    """One bool per state: accepting or not."""
-    flags = np.zeros(d.state_count, dtype=bool)
-    flags[np.fromiter(d.accepting, dtype=np.int64, count=len(d.accepting))] = True
-    return flags
-
-
 def _bfs_levels(
     start: int, size: int, successors: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -551,9 +556,9 @@ def minimize(d: Dfa) -> Dfa:
     order, which drops unreachable states; equal languages over equal
     alphabets always yield the bit-identical automaton. Any member can stand
     for its block, because equivalent states have equivalent successors.
-    From ``_DENSE_MIN_QUEUE`` states up this runs on numpy tables and
-    returns a table-backed automaton, below it on dict loops; both routes
-    give the same automaton. A catenation DFA that carries a congruence
+    From ``_DENSE_MIN_QUEUE`` states up this runs on numpy tables and keeps
+    a table and flags, below it on dict loops and keeps rows and a set;
+    both give the same automaton. A catenation DFA that carries a congruence
     (the classes of states that differ only in useless second-automaton
     states) is first replaced by its quotient by it on the table route.
     """
@@ -581,7 +586,7 @@ def _minimize_loop(d: Dfa) -> Dfa:
             row.append(order[tb])
         rows.append(tuple(row))
     accepting = frozenset(i for i, b in enumerate(bfs) if rep[b] in d.accepting)
-    return Dfa(alphabet=d.alphabet, delta=tuple(rows), start=0, accepting=accepting)
+    return Dfa._make(d.alphabet, tuple(rows), 0, accepting)
 
 
 def _minimize_table(d: Dfa) -> Dfa:
@@ -593,7 +598,7 @@ def _minimize_table(d: Dfa) -> Dfa:
     states, so Moore on the quotient finds the same blocks of states, and
     the renumbered result is the same.
     """
-    table, flags, start = d._table, _accepting_flags(d), d.start
+    table, flags, start = d._table, d._flags, d.start
     if d._congruence is not None:
         codes, keep = d._congruence
         classes = codes & keep
@@ -602,7 +607,7 @@ def _minimize_table(d: Dfa) -> Dfa:
         del classes  # not needed through Moore
     table, flags, start = _quotient(table, flags, start, _moore_vector(table, flags))
     bfs, rows = _bfs_levels(start, len(table), table.__getitem__)
-    return Dfa(d.alphabet, rows, 0, np.flatnonzero(flags[bfs]))
+    return Dfa._make(d.alphabet, rows, 0, flags[bfs])
 
 
 def _quotient(
@@ -651,8 +656,8 @@ def _agree(d1: Dfa, d2: Dfa, p: int, q: int) -> bool:
     while waiting:
         if len(waiting) > narrow:
             if tables is None:
-                tables = d1._table, _accepting_flags(d1)
-                tables += tables if d2 is d1 else (d2._table, _accepting_flags(d2))
+                tables = d1._table, d1._flags
+                tables += tables if d2 is d1 else (d2._table, d2._flags)
             table1, flags1, table2, flags2 = tables
             p, q = np.divmod(np.fromiter(waiting, dtype=np.int64, count=len(waiting)), n2)
             if (flags1[p] != flags2[q]).any():
@@ -698,7 +703,7 @@ def determinize(n: Nfa) -> Dfa:
             row.append(index[target])
         rows.append(tuple(row))
     accepting = frozenset(i for i, sub in enumerate(subsets) if sub & n.accepting)
-    return Dfa(alphabet=n.alphabet, delta=tuple(rows), start=0, accepting=accepting)
+    return Dfa._make(n.alphabet, tuple(rows), 0, accepting)
 
 
 def is_permutation_automaton(d: Dfa) -> bool:
@@ -729,4 +734,4 @@ def extend_alphabet(d: Dfa, alphabet: Sequence[str]) -> Dfa:
     ]
     if len(names) > len(d.alphabet):  # nothing is dropped, so some symbol is new
         rows.append((sink,) * len(names))
-    return Dfa(names, tuple(rows), d.start, d.accepting)
+    return Dfa._make(names, tuple(rows), d.start, d.accepting)

@@ -94,9 +94,9 @@ def parse_automaton(text: str) -> Dfa:
     table = _bulk_table([tokens for tokens in rows[ln_acc:] if tokens], alphabet, state_count)
     if table is None:
         _raise_first_error(rows, ln_acc, alphabet, state_count)
-    # the table bounds state_count, so the checked states fit an int64
-    accepting = np.array(accepting, dtype=np.int64)
-    return Dfa(alphabet=alphabet, delta=table, start=start, accepting=accepting)
+    flags = np.zeros(state_count, dtype=bool)
+    flags[accepting] = True
+    return Dfa._make(alphabet, table, start, flags)
 
 
 def _bulk_table(

@@ -31,7 +31,6 @@ from orthocat import (
 import orthocat.core
 from orthocat.core import (
     _DENSE_MIN_QUEUE,
-    _accepting_flags,
     _moore_loop,
     _moore_vector,
 )
@@ -65,6 +64,15 @@ class TestWords:
         assert format_word(("a", "b"), (1, 0)) == "ba"
         assert format_word(("a",), ()) == "ε"
         assert format_word(("sym1", "sym2"), (0, 1)) == "sym1 sym2"
+
+    @pytest.mark.parametrize("word", [(-1, 0), (2,)], ids=["negative", "past-the-end"])
+    def test_format_word_rejects_bad_index(self, word):
+        with pytest.raises(ValueError, match="out of range for alphabet size 2"):
+            format_word(("a", "b"), word)
+
+    def test_format_word_rejects_float_index(self):
+        with pytest.raises(TypeError):
+            format_word(("a", "b"), (0.0,))
 
 
 class TestConstruction:
@@ -184,13 +192,13 @@ class TestStateEquivalence:
         assert state_equivalent(d, True, 2) and not state_equivalent(d, False, True)
 
     def test_numpy_step_makes_the_flags_once(self, monkeypatch):
-        calls = []
-        flags = orthocat.core._accepting_flags
-        monkeypatch.setattr(orthocat.core, "_accepting_flags", lambda d: calls.append(d) or flags(d))
         monkeypatch.setattr(orthocat.core, "_DENSE_MIN_QUEUE", 0)
         d = two_sink_dfa()
-        assert state_equivalent(d, 1, 2) and not state_equivalent(d, 0, 1)
-        assert calls == [d, d]
+        assert "_flags" not in vars(d)
+        assert state_equivalent(d, 1, 2)
+        flags = vars(d)["_flags"]
+        assert not state_equivalent(d, 0, 1)
+        assert vars(d)["_flags"] is flags
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -251,7 +259,7 @@ def same_partition(x, y) -> bool:
 
 def vector_blocks(d: Dfa) -> list[int]:
     """``_moore_vector``'s block ids for all states of ``d``."""
-    return _moore_vector(d._table, _accepting_flags(d)).tolist()
+    return _moore_vector(d._table, d._flags).tolist()
 
 
 def unary_lasso(n: int, tail: int, accepting_mask: int) -> Dfa:
@@ -466,24 +474,19 @@ class TestLanguageEquivalence:
             assert language_equivalent(d1, d2) is same
             assert "delta" not in d1.__dict__ and "delta" not in d2.__dict__
 
-    def test_route_by_queue_length(self, monkeypatch):
+    def test_route_by_queue_length(self):
         cat = build_catenation_dfa(witness_a(6), witness_b(8)).dfa
         small = minimize(cat)
         chain = unary_lasso(3000, 0, 1 << 2999)
         same, moved = unary_lasso(3000, 0, 1 << 2999), unary_lasso(3000, 0, 1 << 2998)
-        flagged = []
-
-        def spy(d):  # only the numpy step reads the accepting flags
-            flagged.append(d)
-            return _accepting_flags(d)
-
-        monkeypatch.setattr(orthocat.core, "_accepting_flags", spy)
-        # one pair a level, so never more than one waits
+        # only the numpy step makes the accepting flags of a row-backed
+        # automaton; one pair a level, so never more than one waits
         assert language_equivalent(chain, same)
         assert not language_equivalent(chain, moved)
-        assert flagged == []
+        assert not any("_flags" in vars(d) for d in (chain, same, moved))
+        cat, small = (Dfa(d.alphabet, d.delta, d.start, d.accepting) for d in (cat, small))
         assert language_equivalent(cat, small)
-        assert flagged == [cat, small]
+        assert "_flags" in vars(cat) and "_flags" in vars(small)
 
 
 class TestNfaConstruction:

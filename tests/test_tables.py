@@ -13,7 +13,16 @@ import orthocat.catenation
 import orthocat.cli
 import orthocat.core
 import orthocat.fileformat
-from orthocat import Dfa, minimize, orthogonal_upper_bound, witness_a, witness_b
+from orthocat import (
+    Dfa,
+    build_catenation_nfa,
+    determinize,
+    extend_alphabet,
+    minimize,
+    orthogonal_upper_bound,
+    witness_a,
+    witness_b,
+)
 from orthocat.catenation import _build_dense, _build_loop, build_catenation_dfa
 from orthocat.cli import cmd_verify
 from orthocat.core import (
@@ -141,14 +150,14 @@ class TestCongruenceQuotient:
     def test_a_wider_quotient_changes_the_result(self):
         # dropping any useful b-state too merges states of different languages
         for m, n in ((3, 3), (4, 5), (6, 8)):
-            cat = _build_dense(witness_a(m), witness_b(n))
-            codes, keep = cat.dfa._congruence
+            d = _build_dense(witness_a(m), witness_b(n)).dfa
+            codes, keep = d._congruence
             low = (1 << n) - 1
             assert keep & low == low >> 1  # every b-state but the dead one, n - 1
-            expected = serialize_automaton(_minimize_table(cat.dfa))
+            expected = serialize_automaton(_minimize_table(d))
             for p in range(n - 1):
-                mutant = hint_free(cat.dfa)
-                mutant._set_congruence(codes, keep & ~(1 << p))
+                wider = (codes, keep & ~(1 << p))
+                mutant = Dfa._make(d.alphabet, d._table, d.start, d._flags, wider)
                 assert serialize_automaton(_minimize_table(mutant)) != expected
 
 
@@ -295,9 +304,9 @@ class TestDfaForms:
         built = build_catenation_dfa(witness_a(6), witness_b(8)).dfa
         small = minimize(built)
         given = made[0], made[1][1], made[2][1]  # _bfs_levels returns (ids, table)
+        # handed over, not copied: the very array, made read-only
         for d, array in zip((parsed, built, small), given, strict=True):
-            assert "delta" not in vars(d) and np.array_equal(d._table, array)
-            assert not d._table.flags.writeable and not np.shares_memory(d._table, array)
+            assert "delta" not in vars(d) and d._table is array and not array.flags.writeable
 
     def test_owner_cannot_change_a_given_table(self):
         table = np.array([[1], [0], [2]])
@@ -431,6 +440,82 @@ class TestDfaForms:
         expected = Dfa(("a", "b"), ((0, 1), (1, 0)), 0, set(members.tolist()))
         assert d == expected and hash(d) == hash(expected)
         assert all(q.__class__ is int for q in d.accepting)
+
+
+def assert_well_formed(d: Dfa) -> None:
+    """What ``Dfa(...)`` would check, on an automaton that may come from
+    ``Dfa._make``, which checks nothing; and that its arrays are read-only."""
+    n, k = d.state_count, len(d.alphabet)
+    table, flags = d._table, d._flags
+    assert table.dtype == np.int64 and table.shape == (n, k)
+    assert table.min() >= 0 and table.max() < n
+    assert d.start.__class__ is int and 0 <= d.start < n
+    assert flags.dtype == bool and flags.shape == (n,)
+    assert d.accepting == set(np.flatnonzero(flags).tolist())
+    assert all(q.__class__ is int for q in d.accepting)
+    assert not table.flags.writeable and not flags.flags.writeable
+    if d._congruence is not None:
+        codes, _ = d._congruence
+        assert codes.shape == (n,) and not codes.flags.writeable
+
+
+def built_automata(a: Dfa, b: Dfa, subsets: bool = True) -> list[Dfa]:
+    """Every route of the library that makes an automaton, on one pair: the
+    two minimize routes by size, each on both acceptance forms; the Python
+    subset construction only if ``subsets``."""
+    loop, dense = _build_loop(a, b).dfa, _build_dense(a, b).dfa
+    made = [
+        loop,
+        dense,
+        minimize(loop),
+        minimize(dense),
+        extend_alphabet(a, a.alphabet + ("z",)),
+        extend_alphabet(a, a.alphabet[::-1]),
+        parse_automaton(serialize_automaton(b)),
+    ]
+    return made + [determinize(build_catenation_nfa(a, b))] if subsets else made
+
+
+class TestHandOver:
+    """``Dfa._make`` keeps what the library's routes hand it unchecked, so
+    each route's product is checked here as ``Dfa(...)`` would check it,
+    and against the automaton ``Dfa(...)`` makes of the same parts."""
+
+    def assert_routes(self, a: Dfa, b: Dfa, subsets: bool = True) -> None:
+        for d in built_automata(a, b, subsets):
+            assert_well_formed(d)
+            # the public constructor's twin in each form: rows and a set,
+            # a table and an array of accepting states
+            for twin in (
+                Dfa(d.alphabet, d.delta, d.start, d.accepting),
+                Dfa(d.alphabet, d._table, d.start, d._flags.nonzero()[0]),
+            ):
+                assert twin == d and hash(twin) == hash(d)
+
+    def test_random_pairs(self):
+        for a, b in dfa_pairs(0x7AB1_0006, 200, max_m=5, max_n=5):
+            self.assert_routes(a, b)
+
+    def test_witness_pairs(self):
+        for m in range(3, 11):
+            for n in range(3, 13):
+                # the subset construction takes seconds on the largest
+                self.assert_routes(witness_a(m), witness_b(n), n <= 10)
+
+    def test_shifted_flags_are_caught(self):
+        d = _build_dense(witness_a(4), witness_b(5)).dfa
+        mutant = Dfa._make(d.alphabet, d._table, d.start, np.roll(d._flags, 1))
+        vars(mutant)["accepting"] = d.accepting  # as a wrong derivation would
+        with pytest.raises(AssertionError):
+            assert_well_formed(mutant)
+        assert_well_formed(d)
+
+    def test_writeable_flags_are_caught(self):
+        d = _build_dense(witness_a(4), witness_b(5)).dfa
+        mutant = Dfa._make(d.alphabet, d._table, d.start, d.accepting)
+        vars(mutant)["_flags"] = d._flags.copy()  # as a derivation that forgot
+        with pytest.raises(AssertionError):
+            assert_well_formed(mutant)
 
 
 def test_verify_reproduces_the_bound_at_scale():
