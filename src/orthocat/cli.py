@@ -14,12 +14,17 @@ import time
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from .catenation import build_catenation_dfa, build_catenation_nfa, orthogonal_upper_bound
+from .catenation import (
+    _DENSE_MAX_CELLS,
+    build_catenation_dfa,
+    build_catenation_nfa,
+    orthogonal_upper_bound,
+)
 from .core import Dfa, determinize, format_word, language_equivalent, minimize
 from .fileformat import FormatError, parse_automaton, serialize_automaton
 from .oracle import brute_force_orthogonal, verify_fooling_set
 from .orthogonality import is_orthogonal
-from .witnesses import fooling_set_unary_catenation, unary_star_dfa, witness_a, witness_b
+from .witnesses import _SIGMA, fooling_set_unary_catenation, unary_star_dfa, witness_a, witness_b
 
 CSV_HEADER = "m,n,predicted,constructed,minimized,orthogonal,elapsed_ms"
 
@@ -79,9 +84,22 @@ def _witness_cell(m: int, n: int, check_oracle: bool) -> SweepRow:
 def cmd_verify(m: int, n: int) -> SweepRow:
     """Build the (m, n) witness pair, assert orthogonality with both the
     decision procedure and the bounded brute-force scan, and measure the
-    minimal catenation size against the predicted bound."""
+    minimal catenation size against the predicted bound. A pair is refused
+    before any work when the dense build's tables, ``(m + k) << n`` cells
+    for k letters, or the oracle's, ``(m + n) * k**8``, would pass
+    ``_DENSE_MAX_CELLS``: past it the build runs an unbounded loop."""
     if m < 3 or n < 3:
         raise ValueError("verify needs m >= 3 and n >= 3")
+    k = len(_SIGMA)
+    # (m + k) << n > _DENSE_MAX_CELLS, without forming 2**n for a huge n
+    if m + k > _DENSE_MAX_CELLS >> n:
+        raise ValueError(
+            f"verify {m} {n}: the catenation table would pass the limit of {_DENSE_MAX_CELLS} cells"
+        )
+    if (m + n) * k**_VERIFY_ORACLE_MAX_LEN > _DENSE_MAX_CELLS:
+        raise ValueError(
+            f"verify {m} {n}: the oracle's tables would pass the limit of {_DENSE_MAX_CELLS} cells"
+        )
     return _witness_cell(m, n, check_oracle=True)
 
 

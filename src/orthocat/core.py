@@ -77,8 +77,9 @@ class Dfa(_Frozen):
 
     ``delta`` may also be given as a 2-D integer numpy table. The automaton
     keeps a read-only int64 copy, which nothing else can write, and makes
-    the rows on first use of ``delta``; so the numpy routes can make and
-    read a large automaton without ever building its rows in Python. States
+    the rows on first use of ``delta``; so the numpy routes, among them
+    ``minimize`` and both equivalence tests, can make and read a large
+    automaton without ever building its rows in Python. States
     must be integers: Python's, numpy's or any other type with
     ``__index__``; the automaton keeps every state as a Python int, and
     ``accepting``, a frozenset, or ``_flags``, one bool per state, as its
@@ -180,14 +181,6 @@ class Dfa(_Frozen):
             table = np.fromiter(chain.from_iterable(self.delta), np.int64, n * k).reshape(n, k)
             table.flags.writeable = False
         return table
-
-    def _row_reader(self) -> Callable[[int], Sequence[int]]:
-        """``read(q)``: row ``q`` as ints, from the rows if they are made,
-        else from the table one row at a time without making the rows."""
-        table = self._stored_table
-        if table is None or "delta" in self.__dict__:
-            return self.delta.__getitem__
-        return lambda q: table[q].tolist()
 
     def _key(self) -> tuple:  # what == and hash compare, whatever the forms
         return (self.alphabet, self.start, self._flags.tobytes(), self._table.tobytes())
@@ -382,14 +375,12 @@ def dead_states(d: Dfa) -> frozenset[int]:
 # A numpy step costs tens of microseconds however few ids it takes, so it
 # only pays on wide inputs. The catenation build hands its Python walk over
 # to a numpy search by BFS levels once more than this many found ids wait in
-# its queue; the pair search behind language and state equivalence takes its
-# waiting pairs in numpy while more than this many wait; the orthogonality
-# search finishes in numpy, one step per BFS level, once a level holds more
-# than this many nodes; and ``minimize`` runs on numpy tables from this many
-# states up. Of 33,048 random pairs of up to six states and three letters,
-# none reached the build's numpy search; the widest orthogonality level over
-# the 16,524 pairs of the random-pipeline benchmark is 24 nodes; and tiny
-# random inputs stay on minimize's dict loops.
+# its queue; the orthogonality search finishes in numpy, one step per BFS
+# level, once a level holds more than this many nodes; and ``minimize`` runs
+# on numpy tables from this many states up. Of 33,048 random pairs of up to
+# six states and three letters, none reached the build's numpy search; the
+# widest orthogonality level over the 16,524 pairs of the random-pipeline
+# benchmark is 24 nodes; and tiny random inputs stay on minimize's dict loops.
 _DENSE_MIN_QUEUE = 64
 
 # ``_rank`` counts instead of sorting while the value range is at most this
@@ -623,7 +614,8 @@ def _quotient(
 
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Exact language equality: ``_agree`` from the two start states."""
+    """Exact language equality: ``_agree`` from the two start states;
+    ``ValueError`` when the product of the state counts passes 2**63."""
     _require_same_alphabet(d1, d2)
     return _agree(d1, d2, d1.start, d2.start)
 
@@ -633,52 +625,34 @@ def _agree(d1: Dfa, d2: Dfa, p: int, q: int) -> bool:
     same words, by product search for a distinguishing pair.
 
     The search visits the pairs of states that one word reaches from
-    ``(p, q)``, each packed as the key ``p * n2 + q`` (``n2`` the state
-    count of ``d2``), and fails at a pair where only one side accepts.
-    Found keys wait in one queue. Any visiting order gives the same
-    verdict, so two steps share the queue as its length changes: while
-    at most ``_DENSE_MIN_QUEUE`` keys wait, a Python step visits the first
-    one, reading a table-backed automaton one row at a time; while more
-    wait, a numpy step visits all of them at once on the two tables.
-    Neither makes the rows of a table-backed automaton. A key, and each
-    partial sum the numpy step forms, is at most ``n1 * n2 - 1``, so keys
-    fit an int64 whenever ``n1 * n2 <= 2**63``; past that only the Python
-    step runs, on Python ints.
+    ``(p, q)``, one BFS level at a time, each pair packed as the int64 key
+    ``p * n2 + q`` (``n2`` the state count of ``d2``), and fails at a pair
+    where only one side accepts. A level takes one compare of the accepting
+    flags, one gather of the successors on every letter from the two tables
+    (never the rows of a table-backed automaton), and the keys not seen
+    before by set difference. A key, and each partial sum that forms it, is
+    at most ``n1 * n2 - 1``; so past ``n1 * n2 = 2**63`` the search raises
+    ``ValueError`` rather than let a key wrap.
     """
-    row1, row2 = d1._row_reader(), d2._row_reader()
-    acc1, acc2 = d1.accepting, d2.accepting
-    n2 = d2.state_count
-    narrow = _DENSE_MIN_QUEUE if d1.state_count * n2 <= 1 << 63 else float("inf")
+    n1, n2 = d1.state_count, d2.state_count
+    if n1 * n2 > 1 << 63:
+        raise ValueError(f"{n1} x {n2} state pairs are too many for int64 keys")
+    table1, flags1 = d1._table, d1._flags
+    table2, flags2 = (table1, flags1) if d2 is d1 else (d2._table, d2._flags)
     key = p * n2 + q
     seen = {key}
-    waiting = [key]
-    tables = None  # the tables and accepting flags, made by the first numpy step
-    while waiting:
-        if len(waiting) > narrow:
-            if tables is None:
-                tables = d1._table, d1._flags
-                tables += tables if d2 is d1 else (d2._table, d2._flags)
-            table1, flags1, table2, flags2 = tables
-            p, q = np.divmod(np.fromiter(waiting, dtype=np.int64, count=len(waiting)), n2)
-            if (flags1[p] != flags2[q]).any():
-                return False
-            keys = table1[p]
-            keys *= n2
-            keys += table2[q]
-            fresh = set(keys.ravel().tolist())
-            fresh -= seen
-            seen |= fresh
-            waiting = list(fresh)
-            continue
-        # at most narrow wait, so pop(0) moves few unless keys outgrow int64
-        p, q = divmod(waiting.pop(0), n2)
-        if (p in acc1) != (q in acc2):
+    waiting = np.array([key], dtype=np.int64)
+    while waiting.size:
+        p, q = np.divmod(waiting, n2)
+        if (flags1[p] != flags2[q]).any():
             return False
-        for t1, t2 in zip(row1(p), row2(q)):
-            key = t1 * n2 + t2
-            if key not in seen:
-                seen.add(key)
-                waiting.append(key)
+        keys = table1[p]
+        keys *= n2
+        keys += table2[q]
+        fresh = set(keys.ravel().tolist())
+        fresh -= seen
+        seen |= fresh
+        waiting = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
     return True
 
 

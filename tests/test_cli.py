@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,13 @@ class TestVerify:
     def test_cli_usage_error(self, capsys):
         assert main(["verify", "1", "3"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m,n", [(3, 22), (100_000, 3)], ids=["build", "oracle"])
+    def test_cli_refuses_oversized_pair_fast(self, capsys, m, n):
+        t0 = time.perf_counter()
+        assert main(["verify", str(m), str(n)]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert f"limit of {1 << 24} cells" in capsys.readouterr().err
 
     def test_cli_rejects_non_positive_argument(self, capsys):
         with pytest.raises(SystemExit) as info:

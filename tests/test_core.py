@@ -1,6 +1,5 @@
 import hashlib
 from itertools import product
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -191,8 +190,7 @@ class TestStateEquivalence:
         assert not state_equivalent(d, np.int32(0), np.int64(1))
         assert state_equivalent(d, True, 2) and not state_equivalent(d, False, True)
 
-    def test_numpy_step_makes_the_flags_once(self, monkeypatch):
-        monkeypatch.setattr(orthocat.core, "_DENSE_MIN_QUEUE", 0)
+    def test_numpy_step_makes_the_flags_once(self):
         d = two_sink_dfa()
         assert "_flags" not in vars(d)
         assert state_equivalent(d, 1, 2)
@@ -214,11 +212,9 @@ class TestStateEquivalence:
         d = inflated(random_dfa(max(1, n // copies), k, 0.5, seed), copies, seed)
         blocks = _moore_loop(d)
         d = as_table(d) if table else d
-        for waiting in QUEUE_LIMITS:
-            with patch.object(orthocat.core, "_DENSE_MIN_QUEUE", waiting):
-                for p in range(d.state_count):
-                    for q in range(p + 1, d.state_count):
-                        assert state_equivalent(d, p, q) is (blocks[p] == blocks[q])
+        for p in range(d.state_count):
+            for q in range(p + 1, d.state_count):
+                assert state_equivalent(d, p, q) is (blocks[p] == blocks[q])
 
 
 class TestMinimize:
@@ -379,11 +375,6 @@ def head_and_tail(head: int, tail: int, seed: int) -> Dfa:
     return Dfa(("a", "b"), rows, 0, {*range(0, head, 3), head + tail - 1})
 
 
-# _DENSE_MIN_QUEUE patched to 0 (numpy from the first step), as it is, and
-# past any queue (Python only)
-QUEUE_LIMITS = (0, _DENSE_MIN_QUEUE, 10**9)
-
-
 def as_table(d: Dfa) -> Dfa:
     return Dfa(d.alphabet, np.array(d.delta), d.start, d.accepting)
 
@@ -432,32 +423,25 @@ class TestLanguageEquivalence:
         if kind == "flipped":
             d2 = Dfa(d2.alphabet, d2.delta, d2.start, d2.accepting ^ {seed % d2.state_count})
         d1, d2 = (as_table(d) if t else d for d, t in ((d1, table1), (d2, table2)))
-        same = minimize(d1) == minimize(d2)
-        for waiting in QUEUE_LIMITS:
-            with patch.object(orthocat.core, "_DENSE_MIN_QUEUE", waiting):
-                assert language_equivalent(d1, d2) is same
+        assert language_equivalent(d1, d2) is (minimize(d1) == minimize(d2))
 
     def test_first_difference_thousands_of_levels_deep(self):
         chain, moved = unary_lasso(3000, 0, 1 << 2999), unary_lasso(3000, 0, 1 << 2998)
         assert minimize(chain) != minimize(moved)
-        for waiting in QUEUE_LIMITS:
-            with patch.object(orthocat.core, "_DENSE_MIN_QUEUE", waiting):
-                assert not language_equivalent(chain, moved)
-                assert not language_equivalent(moved, chain)
+        assert not language_equivalent(chain, moved)
+        assert not language_equivalent(moved, chain)
 
     @pytest.mark.parametrize("table", [False, True])
     def test_narrow_wide_narrow(self, table):
-        # the head's levels widen past the queue limit and narrow again, and
+        # the head's levels widen to hundreds of pairs and narrow again, and
         # its last pairs lead into a tail thousands of levels deep
         d = head_and_tail(2000, 3000, 0x1E0_0003)
         last = d.state_count - 1
         moved = Dfa(d.alphabet, d.delta, d.start, d.accepting ^ {last - 1, last})
         d = as_table(d) if table else d
-        for waiting in QUEUE_LIMITS:
-            with patch.object(orthocat.core, "_DENSE_MIN_QUEUE", waiting):
-                assert language_equivalent(d, as_table(d))
-                assert not language_equivalent(d, as_table(moved))
-                assert not language_equivalent(moved, d)
+        assert language_equivalent(d, as_table(d))
+        assert not language_equivalent(d, as_table(moved))
+        assert not language_equivalent(moved, d)
 
     def test_tables_get_no_rows(self):
         wide = random_dfa(200, 2, 0.5, 0x1E0_0001)
@@ -474,19 +458,19 @@ class TestLanguageEquivalence:
             assert language_equivalent(d1, d2) is same
             assert "delta" not in d1.__dict__ and "delta" not in d2.__dict__
 
-    def test_route_by_queue_length(self):
-        cat = build_catenation_dfa(witness_a(6), witness_b(8)).dfa
-        small = minimize(cat)
-        chain = unary_lasso(3000, 0, 1 << 2999)
-        same, moved = unary_lasso(3000, 0, 1 << 2999), unary_lasso(3000, 0, 1 << 2998)
-        # only the numpy step makes the accepting flags of a row-backed
-        # automaton; one pair a level, so never more than one waits
-        assert language_equivalent(chain, same)
-        assert not language_equivalent(chain, moved)
-        assert not any("_flags" in vars(d) for d in (chain, same, moved))
-        cat, small = (Dfa(d.alphabet, d.delta, d.start, d.accepting) for d in (cat, small))
-        assert language_equivalent(cat, small)
-        assert "_flags" in vars(cat) and "_flags" in vars(small)
+    def test_refuses_pairs_past_int64_keys(self):
+        # one-letter automata of 2**n states on views that allocate nothing,
+        # every state a non-accepting sink of state 0
+        def sinks(n):
+            table = np.broadcast_to(np.zeros(1, dtype=np.int64), (1 << n, 1))
+            return Dfa._make(("a",), table, 0, np.broadcast_to(False, 1 << n))
+
+        for d1, d2 in ((sinks(32), sinks(32)), (sinks(33), sinks(31))):  # 2**64 pairs
+            with pytest.raises(ValueError, match="int64"):
+                language_equivalent(d1, d2)
+        with pytest.raises(ValueError, match="int64"):
+            state_equivalent(sinks(32), 0, 1)
+        assert language_equivalent(sinks(32), sinks(31))  # 2**63 pairs still fit
 
 
 class TestNfaConstruction:
