@@ -375,7 +375,7 @@ def dead_states(d: Dfa) -> frozenset[int]:
 # A numpy step costs tens of microseconds however few ids it takes, so it
 # only pays on wide inputs. The catenation build hands its Python walk over
 # to a numpy search by BFS levels once more than this many found ids wait in
-# its queue; the orthogonality search finishes in numpy, one step per BFS
+# its queue; the orthogonality search starts over in numpy, one step per BFS
 # level, once a level holds more than this many nodes; and ``minimize`` runs
 # on numpy tables from this many states up. Of 33,048 random pairs of up to
 # six states and three letters, none reached the build's numpy search; the

@@ -101,10 +101,12 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     left it, and :func:`_split_of` counts only states of the first part.
 
     Levels of at most ``_DENSE_MIN_QUEUE`` nodes are expanded by a Python
-    loop over tuples. Once a level holds more, :func:`_dense_search`
-    finishes the search with one numpy step per level, which meets the
-    nodes in the loop's order and so returns the same witness. It takes
-    over only while its arrays fit ``_DENSE_MAX_CELLS`` int64 cells (about
+    loop over tuples. Once a level holds more, :func:`_dense_search` starts
+    the search over with one numpy step per level, each level found as a
+    set, and reads the loop's witness off the levels: the least word of the
+    hit level's length that reaches a hit, the least hit it reaches, and as
+    each node's parent the least node below that the word's prefix reaches.
+    It runs only while its arrays fit ``_DENSE_MAX_CELLS`` int64 cells (about
     24 * k * (m + n)**2 for k letters); past that the loop runs to the end.
     """
     _require_same_alphabet(a, b)
@@ -114,11 +116,10 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     succ = [[tuple(sorted(cell)) for cell in row] for row in nfa.delta]
 
     bits = len(succ).bit_length()  # 2**bits > m + n, so a spare state fits
-    # The dense route's index and its two flag arrays, and six arrays of the
-    # 4 * k candidates of each node (s <= t, diverged) there is, in case all
-    # wait in one level. Its sort keys pack a node (2 * bits + 1 bits) over a
-    # candidate's place or a (group, symbol) rank, so with at most 2**32
-    # cells each key fits an int64.
+    # The dense route's int32 level array and bool hit array over every key,
+    # and six arrays of the 4 * k candidates of each node (s <= t, diverged)
+    # there is: two for the new keys each step meets and their rows, kept for
+    # every level, and four for one step's work, in case all wait in one level.
     cells = (3 << 2 * bits) + 24 * k * len(succ) * (len(succ) + 1)
     narrow = _DENSE_MIN_QUEUE if cells <= _DENSE_MAX_CELLS else float("inf")
 
@@ -129,8 +130,8 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     count = 1  # nodes in frontier
     while frontier:
         if count > narrow:
-            hit = _dense_search(succ, acc, bits, parents, frontier)
-            return OrthogonalityVerdict(hit and _witness(hit, parents, a.state_count))
+            found = _dense_search(succ, acc, bits, start)
+            return OrthogonalityVerdict(found and _witness(*found, a.state_count))
         next_frontier: list[list[Node]] = []
         count = 0
         for group in frontier:
@@ -149,7 +150,12 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
                 fresh.sort()
                 for node in fresh:
                     if node[2] and node[0] in acc and node[1] in acc:
-                        return OrthogonalityVerdict(_witness(node, parents, a.state_count))
+                        chain, word = [node], []
+                        while (edge := parents[chain[-1]]) is not None:
+                            chain.append(edge[0])
+                            word.append(edge[1])
+                        witness = _witness(chain[::-1], tuple(reversed(word)), a.state_count)
+                        return OrthogonalityVerdict(witness)
                 next_frontier.append(fresh)
                 count += len(fresh)
         frontier = next_frontier
@@ -160,28 +166,29 @@ def _dense_search(
     succ: list[list[tuple[int, ...]]],
     acc: frozenset[int],
     bits: int,
-    parents: dict,
-    frontier: list[list[tuple[int, int, bool]]],
-) -> tuple[int, int, bool] | None:
-    """Finish the search of :func:`is_orthogonal` from ``frontier`` with one
-    numpy step per BFS level; return the hit node, or None past the last
-    level. The hit's parent chain is added to ``parents``.
+    start: tuple[int, int, bool],
+) -> tuple[list[tuple[int, int, bool]], Word] | None:
+    """Search the self-product of :func:`is_orthogonal` from ``start`` with
+    one numpy step per BFS level; return the loop's hit chain, start first,
+    and its word, or None past the last level.
 
     A node ``(s, t, diverged)`` is the key ``(s << bits | t) << 1 | diverged``,
     so keys sort as the tuples do. A spare state, ``len(succ)``, pads every
-    cell to two successors, and the nodes that hold it count as seen, as do
-    the nodes in ``parents``. ``parent[key]`` is ``up * k + symbol + 1`` for
-    a node found here from the node with key ``up``, and 0 otherwise.
+    cell to two successors. ``level[key]`` is the BFS level of a node found,
+    -1 for one not yet found and -2 for one that holds the spare state. Each
+    step takes the next level as the set of new keys among the successors
+    of its level, and keeps each new key it meets with the row of the node
+    it comes from, until a level holds a hit.
 
-    Each step lays the candidates out in the order the Python loop meets
-    them: group, symbol, node within its group, then the two successors.
-    The first occurrence of a new node there is the parent the loop picks;
-    the next level's groups are the new nodes sorted by the (group, symbol)
-    of that occurrence, then by node; and the loop's hit is the first hit in
-    that order.
+    The loop's groups go in word order, so its witness is the least word of
+    that level's length that reaches a hit, the least hit that word reaches,
+    and as each node's parent the least node one level down that the word's
+    prefix reaches and that steps to it. A pass down the kept keys marks the
+    nodes with a path to a hit; a pass up takes at each level the least
+    letter that keeps one of them in reach.
     """
     k = len(succ[0])
-    spare, low, shift, keybits = len(succ), (1 << bits) - 1, bits + 1, 2 * bits + 1
+    spare, low, shift = len(succ), (1 << bits) - 1, bits + 1
     table = np.full((1 << bits, k, 2), spare, dtype=np.int64)
     table[:spare] = [[cell + (spare,) * (2 - len(cell)) for cell in row] for row in succ]
     # the successors of s and of t for the four choices of a symbol, in order
@@ -193,31 +200,16 @@ def _dense_search(
     hit[:, :, 1] = np.logical_and.outer(flags, flags)
     hit = hit.ravel()  # diverged, and both accepting
 
-    def keys_of(nodes: list[tuple[int, int, bool]]) -> np.ndarray:
-        stv = np.array(nodes, dtype=np.int64)
-        return (stv[:, 0] << bits | stv[:, 1]) << 1 | stv[:, 2]
+    def key(node: tuple[int, int, bool]) -> int:
+        return (node[0] << bits | node[1]) << 1 | node[2]
 
-    parent = np.zeros(1 << keybits, dtype=np.int64)
-    unseen = np.ones(1 << keybits, dtype=bool)
-    unseen[keys_of(list(parents))] = False
+    level = np.full(2 << 2 * bits, -1, dtype=np.int32)
     padded = (np.arange(spare + 1) << bits | spare) << 1
-    unseen[padded] = unseen[padded | 1] = False
-
-    sizes = [len(group) for group in frontier]
-    keys = keys_of([node for group in frontier for node in group])
-    group = np.repeat(np.arange(len(sizes)), sizes)
-    edges = np.cumsum([0, *sizes])  # where each group starts, then the end
-    symbols, steps = np.arange(k), np.arange(1, k + 1)
-    while True:
-        n = len(keys)
-        start = edges.take(group)
-        # each (node, symbol) by its group and symbol, then by its place in
-        # the loop's order, and the (node, symbol) at each place
-        blocks = np.multiply.outer(edges.take(group + 1) - start, symbols)
-        blocks += (start * k)[:, None]
-        places = blocks + (np.arange(n) - start)[:, None]
-        at = np.empty(n * k, dtype=np.int64)
-        at[places.ravel()] = np.arange(n * k)
+    level[padded] = level[padded | 1] = -2
+    keys = np.array([key(start)], dtype=np.int64)
+    level[keys] = 0
+    levels, edges = [keys], []
+    while not hit.take(keys).any():
         s2, t2 = firsts.take(keys >> shift, 0), seconds.take(keys >> 1 & low, 0)
         cand = np.minimum(s2, t2)
         cand <<= bits
@@ -225,66 +217,52 @@ def _dense_search(
         cand <<= 1
         cand |= s2 != t2
         cand |= (keys & 1)[:, None]
-        del s2, t2  # at most six candidate-sized arrays live, as the budget counts
-        cand = cand.reshape(n * k, 4).take(at, 0).ravel()
-        order = np.flatnonzero(unseen.take(cand))
-        if not len(order):
+        del s2, t2  # at most four candidate-sized arrays live, as the budget counts
+        found = np.flatnonzero(level.take(cand) == -1)
+        new = cand.take(found)
+        del cand
+        keys = np.unique(new)
+        if not len(keys):
             return None
-        bound = len(cand).bit_length()
-        packed = cand.take(order) << bound
-        packed |= order
-        packed.sort()
-        node = packed >> bound
-        first = np.empty(len(node), dtype=bool)
-        first[0] = True
-        np.not_equal(node[1:], node[:-1], out=first[1:])
-        node = node[first]
-        packed = packed[first]
-        packed &= (1 << bound) - 1
-        packed >>= 2
-        source = at.take(packed)  # the (node, symbol) each new node comes from
-        unseen[node] = False
-        parent[node] = np.add.outer(keys * k, steps).take(source)
-        packed = blocks.take(source) << keybits
-        packed |= node
-        packed.sort()
-        keys = packed & (1 << keybits) - 1
-        hits = hit.take(keys)
-        if hits.any():
-            return _merge_chain(int(keys[hits.argmax()]), parent, k, bits, parents)
-        packed >>= keybits
-        first = np.empty(len(keys) + 1, dtype=bool)
-        first[0] = first[-1] = True
-        np.not_equal(packed[1:], packed[:-1], out=first[1:-1])
-        edges = np.flatnonzero(first)
-        group = np.cumsum(first[:-1]) - 1
+        level[keys] = len(levels)
+        levels.append(keys)
+        edges.append((found // (4 * k), new))  # each new key met and its row
+
+    # mark the nodes with a path to a hit, from the hit level down: a node
+    # has one when a new key it steps to has one
+    good = hit
+    for keys, (rows, new) in zip(levels[-2::-1], reversed(edges)):
+        good[keys[rows[good.take(new)]]] = True
+    reached, word = [{start}], []
+    for i in range(1, len(levels)):
+        for sym in range(k):
+            ahead = (x for y in reached[-1] for x in _steps(succ, y, sym))
+            fresh = {x for x in ahead if good[key(x)] and level[key(x)] == i}
+            if fresh:
+                break
+        reached.append(fresh)
+        word.append(sym)
+    chain = [min(reached.pop())]
+    for sym in reversed(word):
+        chain.append(min(y for y in reached.pop() if chain[-1] in _steps(succ, y, sym)))
+    return chain[::-1], tuple(word)
 
 
-def _merge_chain(
-    hit: int, parent: np.ndarray, k: int, bits: int, parents: dict
-) -> tuple[int, int, bool]:
-    """Add the dense parent chain of key ``hit`` to ``parents``, down to the
-    first node found before the handover; return the hit as a node."""
-
-    def node(key: int) -> tuple[int, int, bool]:
-        return key >> bits + 1, key >> 1 & (1 << bits) - 1, bool(key & 1)
-
-    key = hit
-    while edge := int(parent[key]):
-        up, sym = divmod(edge - 1, k)
-        parents[node(key)] = (node(up), sym)
-        key = up
-    return node(hit)
+def _steps(
+    succ: list[list[tuple[int, ...]]], node: tuple[int, int, bool], sym: int
+) -> set[tuple[int, int, bool]]:
+    """The self-product nodes that ``node`` steps to on ``sym``."""
+    s, t, diverged = node
+    return {
+        (s2, t2, True) if s2 < t2 else (t2, s2, diverged or s2 != t2)
+        for s2 in succ[s][sym]
+        for t2 in succ[t][sym]
+    }
 
 
-def _witness(hit: tuple[int, int, bool], parents: dict, m: int) -> AmbiguityWitness:
-    """The word on the parent chain of ``hit`` and the splits of its two runs."""
-    chain, symbols = [hit], []
-    while (edge := parents[chain[-1]]) is not None:
-        chain.append(edge[0])
-        symbols.append(edge[1])
-    chain.reverse()
-    word = tuple(reversed(symbols))
+def _witness(chain: list[tuple[int, int, bool]], word: Word, m: int) -> AmbiguityWitness:
+    """The splits of the two runs along ``chain``, the path of ``word`` from
+    the start to a hit."""
     first = _split_of([n[0] for n in chain], word, m)
     second = _split_of([n[1] for n in chain], word, m)
     split1, split2 = sorted((first, second), key=lambda sp: len(sp[0]))

@@ -39,6 +39,7 @@ from conftest import dfa_pairs
 from test_catenation import single_word_dfa
 
 CYCLE_CORPUS_SEED = 0x0C1C_0006
+WIDE_PAIRS_SEED = 0x0D15_0036
 
 # handover thresholds for the search: the numpy route from the first level,
 # from the first level wider than the default, and never
@@ -385,8 +386,8 @@ class TestLongWitnessPinned:
 
 
 class TestDenseRoute:
-    """The numpy route that finishes wide searches, against the Python loop
-    it takes over from."""
+    """The numpy route that searches wide products again from the start,
+    against the Python loop."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**64 - 1))
@@ -398,22 +399,43 @@ class TestDenseRoute:
                 results.append([_witness_key(is_orthogonal(a, b).witness) for a, b in pairs])
         assert results[0] == results[1] == results[2]
 
+    def test_same_witness_on_wider_pairs(self):
+        # up to 30 states: levels of up to 101 nodes, up to 9 hits in the
+        # last level and up to 14 nodes of one level on a path to a hit
+        pairs = dfa_pairs(WIDE_PAIRS_SEED, 50, max_m=30, max_n=30)
+        results = []
+        for limit in (0, 10**9):
+            with _handover_above(limit):
+                results.append([_witness_key(is_orthogonal(a, b).witness) for a, b in pairs])
+        assert results[0] == results[1]
+        assert sum(w is not None for w in results[0]) > 10
+
+    def test_least_parent_of_each_node(self):
+        # aaa factors as ε·aaa, a·aa and aaa·ε; the first two runs meet in
+        # b's looping state, so the prefix aa reaches two product nodes that
+        # step to the hit, and the least of them fixes the splits
+        a = Dfa(("a",), ((1,), (2,), (3,), (4,), (4,)), 0, {0, 1, 3})
+        b = Dfa(("a",), ((1,), (2,), (2,)), 0, {0, 2})
+        for limit in QUEUE_LIMITS:
+            with _handover_above(limit):
+                witness = is_orthogonal(a, b).witness
+            assert _witness_key(witness) == ((0, 0, 0), ((0,), (0, 0)), ((0, 0, 0), ())), limit
+
     @pytest.mark.parametrize("m", [40, 200])
     def test_wide_witness_searches_take_it(self, m, monkeypatch):
         pairs = [(witness_a(m), witness_b(m)), (witness_b(m), witness_a(m))]
         with _handover_above(10**9):
             expected = [_witness_key(is_orthogonal(a, b).witness) for a, b in pairs]
-        widths = []
+        calls = []
         dense = orthocat.orthogonality._dense_search
         monkeypatch.setattr(
             orthocat.orthogonality,
             "_dense_search",
-            lambda *args: widths.append(sum(map(len, args[-1]))) or dense(*args),
+            lambda *args: calls.append(args) or dense(*args),
         )
         assert expected[0] is None and expected[1] is not None
         assert [_witness_key(is_orthogonal(a, b).witness) for a, b in pairs] == expected
-        assert len(widths) == (2 if m == 200 else 1)  # (a40, b40) stays narrow
-        assert min(widths) > _DENSE_MIN_QUEUE
+        assert len(calls) == (2 if m == 200 else 1)  # (a40, b40) stays narrow
 
     def test_not_taken_past_the_budget(self, monkeypatch):
         pair = witness_b(200), witness_a(200)
