@@ -83,7 +83,8 @@ class Dfa(_Frozen):
     must be integers: Python's, numpy's or any other type with
     ``__index__``; the automaton keeps every state as a Python int, and
     ``accepting``, a frozenset, or ``_flags``, one bool per state, as its
-    maker made it; the other is made on first use. == and hash go by content.
+    maker made it (an integer numpy array of accepting states becomes
+    flags); the other is made on first use. == and hash go by content.
     """
 
     alphabet: tuple[str, ...]
@@ -121,8 +122,18 @@ class Dfa(_Frozen):
             q = int(np.argwhere((delta < 0) | (delta >= n))[0, 0]) if width == len(alphabet) else 0
             _check_rows(alphabet, n, [(q, delta[q].tolist())])
         start = _state(start, n, "start state")
-        # name the first bad state in the set's order
-        accepting = frozenset([_state(q, n, "accepting state") for q in frozenset(accepting)])
+        if (
+            isinstance(accepting, np.ndarray)
+            and accepting.ndim == 1
+            and accepting.dtype.kind in "iu"
+            and accepting.min(initial=0) >= 0
+            and accepting.max(initial=0) < n
+        ):  # one range check for an integer array, and it becomes flags
+            flags = np.zeros(n, dtype=bool)
+            flags[accepting] = True
+            accepting = flags
+        else:  # name the first bad state in the set's order
+            accepting = frozenset([_state(q, n, "accepting state") for q in frozenset(accepting)])
         self._fill(alphabet, delta, start, accepting)
 
     @classmethod

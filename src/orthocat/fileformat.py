@@ -20,6 +20,7 @@ names contain neither whitespace nor ``#``.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from itertools import chain, islice
 from typing import NoReturn
@@ -44,21 +45,78 @@ class FormatError(ValueError):
 def parse_automaton(text: str) -> Dfa:
     """Parse the text format above into a validated complete DFA.
 
-    The transition lines are read in bulk: each is split once, the tokens
-    are sliced into state, symbol and target columns, each column is checked
-    as a whole, and the targets fill one ``states × |alphabet|`` table that
-    the automaton keeps as its read-only table. When a bulk check fails, a
-    line-by-line scan only locates the first bad line, or else the missing
-    pairs, and raises; so every error is the one a line-wise parse meets
-    first. The table is allocated only once the line count equals
+    ASCII text with no ``#`` takes a bulk route: after the four header
+    lines, the rest of the text is split once, one numpy pass over its
+    bytes checks that every line holds three tokens or none, the state and
+    target columns are read as integers straight from those bytes, and the
+    targets fill one ``states × |alphabet|`` table that the automaton keeps
+    as its read-only table. Any other text, or one that fails a bulk check
+    (a malformed line, an unknown symbol, a state out of range or of more
+    than 18 digits, a repeated or missing pair), is parsed line by line
+    instead, so every error is the one a line-wise parse meets first. The
+    table is allocated only once the transition count equals
     ``states × |alphabet|``, so a huge declared state count allocates
     nothing.
     """
+    split = _split_header(text) if text.isascii() and "#" not in text else None
+    if split is not None:
+        lines, body = split
+        alphabet, state_count, start, accepting = _header(lines)
+        table = _body_table(body, alphabet, state_count)
+        if table is not None:
+            return _automaton(alphabet, table, start, accepting)
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Dfa:
+    """``parse_automaton`` line by line: the route for any text, and the one
+    that names the first bad line."""
     rows = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
     lines = list(islice(((n, tokens) for n, tokens in enumerate(rows, start=1) if tokens), 4))
     if len(lines) < 4:
         raise FormatError("expected alphabet/states/start/accepting header lines")
+    alphabet, state_count, start, accepting = _header(lines)
+    ln_acc = lines[3][0]
+    table = _rows_table([tokens for tokens in rows[ln_acc:] if tokens], alphabet, state_count)
+    if table is None:
+        _raise_first_error(rows, ln_acc, alphabet, state_count)
+    return _automaton(alphabet, table, start, accepting)
 
+
+def _automaton(
+    alphabet: tuple[str, ...], table: np.ndarray, start: int, accepting: list[int]
+) -> Dfa:
+    """The automaton of a checked table, start and accepting states."""
+    flags = np.zeros(len(table), dtype=bool)
+    flags[accepting] = True
+    return Dfa._make(alphabet, table, start, flags)
+
+
+# ``str.splitlines`` ends a line at each of these in ASCII text ("\r\n" is
+# one break), and ``str.split`` splits at them and at " \t\x1f" too.
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+_WHITESPACE = np.zeros(256, dtype=np.uint8)  # 1 a space, 2 a line break, by byte
+_WHITESPACE[list(b" \t\x1f")] = 1
+_WHITESPACE[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = 2
+
+
+def _split_header(text: str) -> tuple[list[tuple[int, list[str]]], str] | None:
+    """The first four non-blank lines as (line number, tokens), and the text
+    after them; None when the text ends before a fourth line break."""
+    lines, pos = [], 0
+    for number, brk in enumerate(_LINE_BREAK.finditer(text), start=1):
+        tokens = text[pos : brk.start()].split()
+        pos = brk.end()
+        if tokens:
+            lines.append((number, tokens))
+            if len(lines) == 4:
+                return lines, text[pos:]
+    return None
+
+
+def _header(lines: list[tuple[int, list[str]]]) -> tuple[tuple[str, ...], int, int, list[int]]:
+    """Alphabet, state count, start and accepting states of the four header
+    lines, each given as (line number, tokens); raise for the first bad one."""
     (ln_alpha, alpha), (ln_states, states_l), (ln_start, start_l), (ln_acc, acc_l) = lines
     if alpha[0] != "alphabet" or len(alpha) < 2:
         raise FormatError("expected 'alphabet <symbol>...'", ln_alpha)
@@ -90,33 +148,84 @@ def parse_automaton(text: str) -> Dfa:
                     f"accepting state {_num(q)} out of range (states {_num(state_count)})",
                     ln_acc,
                 )
-
-    table = _bulk_table([tokens for tokens in rows[ln_acc:] if tokens], alphabet, state_count)
-    if table is None:
-        _raise_first_error(rows, ln_acc, alphabet, state_count)
-    flags = np.zeros(state_count, dtype=bool)
-    flags[accepting] = True
-    return Dfa._make(alphabet, table, start, flags)
+    return alphabet, state_count, start, accepting
 
 
-def _bulk_table(
+def _body_table(body: str, alphabet: tuple[str, ...], state_count: int) -> np.ndarray | None:
+    """The transition table of the ASCII text after the header, or None when
+    a line holds other than three tokens or none, or a column check fails."""
+    symbols = body.split()
+    if len(symbols) != 3 * state_count * len(alphabet):
+        return None
+    symbols = symbols[1::3]  # states and targets are read from the bytes; their strings go
+    data = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    kind = _WHITESPACE.take(data)
+    space, line_break = kind != 0, kind == 2
+    first = ~space  # the first byte of each token
+    first[1:] &= space[:-1]
+    last = ~space  # the last byte of each token
+    last[:-1] &= space[1:]
+    # token starts and line breaks in text order; a "\r\n" makes an empty line
+    events = np.flatnonzero(first | line_break)
+    is_break = line_break[events]
+    breaks = np.flatnonzero(is_break)
+    per_line = np.diff(breaks, prepend=-1, append=len(events)) - 1
+    if not ((per_line == 0) | (per_line == 3)).all():
+        return None
+    starts = events[~is_break]
+    lengths = np.flatnonzero(last) + 1 - starts
+    qs = _digits(data, starts[0::3], lengths[0::3])
+    ts = _digits(data, starts[2::3], lengths[2::3])
+    if qs is None or ts is None or qs.max() >= state_count or ts.max() >= state_count:
+        return None
+    return _table(qs, symbols, ts, alphabet, state_count)
+
+
+def _digits(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The tokens of ``data`` at ``starts`` as int64, or None unless each is
+    1 to 18 ASCII digits, few enough that none overflows."""
+    longest = int(lengths.max())
+    if longest > 18:
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    for j in range(longest):  # one digit of every token a step
+        live = lengths > j
+        digit = data[np.where(live, starts + j, starts)] - 48  # uint8: below "0" wraps past 9
+        if (live & (digit > 9)).any():
+            return None
+        values = np.where(live, values * 10 + digit, values)
+    return values
+
+
+def _rows_table(
     body: list[list[str]], alphabet: tuple[str, ...], state_count: int
 ) -> np.ndarray | None:
     """The transition table of the transition lines' tokens, or
     None when a line is malformed, a (state, symbol) pair repeats or one is
     missing."""
-    k = len(alphabet)
-    if len(body) != state_count * k or set(map(len, body)) != {3}:
+    if len(body) != state_count * len(alphabet) or set(map(len, body)) != {3}:
         return None
     tokens = list(chain.from_iterable(body))
-    states, symbols, targets = tokens[0::3], tokens[1::3], tokens[2::3]
-    qs, ts = _ints(states), _ints(targets)
-    if qs is None or ts is None:
+    qs, ts = _ints(tokens[0::3]), _ints(tokens[2::3])
+    if qs is None or ts is None or max(qs) >= state_count or max(ts) >= state_count:
         return None
-    ss = list(map({name: i for i, name in enumerate(alphabet)}.get, symbols))
-    if None in ss or max(qs) >= state_count or max(ts) >= state_count:
+    qs, ts = np.array(qs, dtype=np.int64), np.array(ts, dtype=np.int64)
+    return _table(qs, tokens[1::3], ts, alphabet, state_count)
+
+
+def _table(
+    qs: np.ndarray, symbols: list[str], ts: np.ndarray, alphabet: tuple[str, ...], state_count: int
+) -> np.ndarray | None:
+    """The ``states × |alphabet|`` table of the state, symbol and target
+    columns, states in range, or None when a symbol is unknown or a (state,
+    symbol) pair repeats (so, the count being right, one is missing)."""
+    k = len(alphabet)
+    index = {name: i for i, name in enumerate(alphabet)}
+    try:  # an unknown symbol maps to None, which int64 refuses
+        ss = np.array(list(map(index.get, symbols)), dtype=np.int64)
+    except TypeError:
         return None
-    cells = np.array(qs, dtype=np.int64) * k + np.array(ss, dtype=np.int64)
+    cells = qs * k + ss
     if np.bincount(cells, minlength=state_count * k).max() > 1:
         return None
     table = np.empty((state_count, k), dtype=np.int64)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthocat import Dfa, FormatError, minimize, parse_automaton, serialize_automaton, witness_a, witness_b
+from orthocat import fileformat
 from orthocat.randgen import random_dfa, splitmix64_stream
 
 from conftest import dfa_pairs, dfa_strategy
@@ -332,3 +333,153 @@ class TestParsePinned:
         assert sum(o.startswith("FormatError(") for o in outcomes[1::2]) == 964
         digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
         assert digest == "4684d7463d2f768d71c90e9a64b20c299b8dc44331a01ace304c7a38aeabaa0d"
+
+
+def _moved_token(text: str) -> str:
+    """The last token of the fifth line moved to the start of the sixth: a
+    line of two tokens beside one of four, with the token count unchanged."""
+    lines = text.splitlines()
+    first, token = lines[5].rsplit(" ", 1)
+    lines[5:7] = [first, f"{token} {lines[6]}"]
+    return "\n".join(lines) + "\n"
+
+
+# (id, edit of a valid file, whether the result gets past the bulk route,
+# whether it parses)
+_BULK_CASES = [
+    ("tabs", lambda t: t.replace(" ", "\t"), True, True),
+    ("unit-separator", lambda t: t.replace(" ", " \x1f"), True, True),
+    *(
+        (f"break-{ord(b):02x}", lambda t, b=b: t.replace("\n", b), True, True)
+        for b in "\x0b\x0c\x1c\x1d\x1e\r"
+    ),
+    ("crlf", lambda t: t.replace("\n", "\r\n"), True, True),
+    ("blank-lines", lambda t: t.replace("\n1 a", "\n\n \t\n\r\n1 a"), True, True),
+    ("two-and-four-tokens", _moved_token, False, False),
+    ("leading-zeros", lambda t: t.replace("\n1 b 2", "\n001 b 0002"), True, True),
+    ("18-digits", lambda t: t.replace("\n1 b 2", f"\n{'1'.zfill(18)} b {'2'.zfill(18)}"), True, True),
+    ("19-digits", lambda t: t.replace("\n1 b 2", f"\n{'1'.zfill(19)} b 2"), False, True),
+    # int() refuses more than 4,300 digits, so the line-wise route rejects it
+    ("5000-digits", lambda t: t.replace("\n1 b 2", f"\n1 b {'2'.zfill(5000)}"), False, False),
+    ("19-nines", lambda t: t.replace("\n1 b 2", f"\n{'9' * 19} b 2"), False, False),
+    ("fullwidth-digit", lambda t: t.replace("\n1 b 2", "\n\uff11 b 2"), False, False),
+    ("no-final-newline", lambda t: t.rstrip("\n"), True, True),
+    ("duplicate", lambda t: t + "1 b 0\n", False, False),
+    ("missing", lambda t: t.replace("\n1 b 2", ""), False, False),
+    ("unknown-symbol", lambda t: t.replace("\n1 b 2", "\n1 z 2"), False, False),
+    ("out-of-range", lambda t: t.replace("\n1 b 2", "\n1 b 3"), False, False),
+    ("four-tokens", lambda t: t.replace("\n1 b 2", "\n1 b 2 2"), False, False),
+    # header errors, raised on the bulk route with the line-wise numbers
+    ("crlf-header-error", lambda t: t.replace("\n", "\r\n").replace("start 0", "start 9"), True, False),
+    ("breaks-in-header", lambda t: t.replace("\nstart 0", "\n\x0b\r\n\x1c \nstart 0 0", 1), True, False),
+]
+
+
+# Comment-free ASCII layout: separators inside a line, and line breaks
+_ASCII_SPACES = [" ", "\t", "\x1f", "  ", " \t "]
+_ASCII_BREAKS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+_ASCII_NAMES = ["a", "b", "0", "1", "12", "ab", "x_y", "007", "->"]
+
+
+def _ascii_file(draws) -> str:
+    """One seeded comment-free ASCII file: valid, or with one mutation in
+    its transition lines, laid out with seeded separators and line breaks."""
+
+    def pick(options):
+        return options[next(draws) % len(options)]
+
+    n, k = 1 + next(draws) % 6, 1 + next(draws) % 3
+    d = random_dfa(n, k, 0.5, next(draws))
+    offset = next(draws) % (len(_ASCII_NAMES) - k + 1)
+    d = Dfa(_ASCII_NAMES[offset : offset + k], d.delta, next(draws) % n, d.accepting)
+    lines = [line.split(" ") for line in serialize_automaton(d).splitlines()]
+    body = lines[4:]
+    for tokens in body:  # leading zeros, up to 18 digits
+        for j in (0, 2):
+            if next(draws) % 4 == 0:
+                tokens[j] = tokens[j].zfill(pick([2, 5, 18]))
+    i, j = next(draws) % len(body), pick([0, 2])
+    kind = next(draws) % 13  # one mutation, or none for kind 0 or 10 and up
+    if kind == 1 and len(body) > 1:  # two tokens beside four
+        body[(i + 1) % len(body)].insert(0, body[i].pop())
+    elif kind == 2:
+        body.insert(next(draws) % (len(body) + 1), [*body[i][:2], str(next(draws) % n)])
+    elif kind == 3:
+        body[i][1] = "zz"
+    elif kind == 4:
+        del body[i]
+    elif kind == 5:
+        body[i].append(body[i][0])
+    elif kind == 6:
+        body[i][j] = str(n + next(draws) % 3)
+    elif kind == 7:
+        body[i][j] = pick(["x1", "-1", "+1", "1_0", "0x1", "\uff11", "9" * 18, "9" * 19])
+    elif kind == 8:  # in range, past 18 digits
+        body[i][j] = body[i][j].zfill(pick([19, 5000]))
+    elif kind == 9:  # a header error, which the bulk route raises itself
+        lines[pick([2, 3])].append("99")
+    out = []
+    for tokens in lines[:4] + body:
+        if next(draws) % 6 == 0:
+            out.append(pick(["", " ", "\t\x1f"]))
+        out.append(pick(["", " ", "\t"]) + pick(_ASCII_SPACES).join(tokens) + pick(["", " "]))
+    text = "".join(line + pick(_ASCII_BREAKS) for line in out)
+    return text if next(draws) % 5 else text.rstrip("".join(_ASCII_BREAKS))
+
+
+class TestBulkRoute:
+    """Comment-free ASCII text takes the bulk route; the same text with a
+    comment appended means the same but takes the line-wise route. The two
+    must agree on the automaton, or on the exact error message and line."""
+
+    @pytest.fixture
+    def line_wise(self, monkeypatch):
+        """The texts parsed line by line, in order."""
+        parsed, parse_lines = [], fileformat._parse_lines
+
+        def record(text):
+            parsed.append(text)
+            return parse_lines(text)
+
+        monkeypatch.setattr(fileformat, "_parse_lines", record)
+        return parsed
+
+    @pytest.mark.parametrize(
+        "edit,bulk,valid", [case[1:] for case in _BULK_CASES], ids=[c[0] for c in _BULK_CASES]
+    )
+    def test_edited_file(self, line_wise, edit, bulk, valid):
+        text = edit(serialize_automaton(witness_a(3)))
+        outcome = _outcome(text)
+        assert (line_wise == []) == bulk
+        assert outcome.startswith("Dfa(") == valid
+        assert outcome == _outcome(text + "# x\n")
+
+    @pytest.mark.parametrize("token", ["1:", "0;", "2@", "4a"])
+    def test_non_digit_that_would_read_as_a_state(self, token):
+        # byte by byte, ":" would be digit 10, so a target "1:" would read as
+        # state 20; a target, since a changed state would repeat a pair
+        lines = serialize_automaton(witness_b(60)).splitlines()
+        lines[4] = lines[4].rsplit(" ", 1)[0] + " " + token
+        text = "\n".join(lines) + "\n"
+        assert _outcome(text) == _outcome(text + "# x\n")
+        assert f"expected an integer, got {token!r}" in _outcome(text)
+
+    def test_seeded_files(self, line_wise):
+        draws = splitmix64_stream(0xF11E_0019)
+        bulk = []
+        for _ in range(1500):
+            text = _ascii_file(draws)
+            line_wise.clear()
+            outcome = _outcome(text)
+            bulk.append(not line_wise and outcome.startswith("Dfa("))
+            assert outcome == _outcome(text + "# x\n"), repr(text)
+        # the bulk route must parse a good share of them
+        assert sum(bulk) > 300
+
+    def test_serialized_file_never_reaches_the_line_wise_route(self, monkeypatch):
+        def line_wise(text):
+            raise AssertionError("parsed line by line")
+
+        monkeypatch.setattr(fileformat, "_parse_lines", line_wise)
+        d = witness_b(8)
+        assert parse_automaton(serialize_automaton(d)) == d

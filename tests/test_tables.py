@@ -297,7 +297,7 @@ class TestDfaForms:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        record(orthocat.fileformat, "_bulk_table")
+        record(orthocat.fileformat, "_table")  # both parse routes make the table there
         record(orthocat.catenation, "_bfs_levels")
         record(orthocat.core, "_bfs_levels")
         parsed = parse_automaton(serialize_automaton(witness_b(4)))
@@ -425,6 +425,27 @@ class TestDfaForms:
                 Dfa(("a", "b"), ((0, 1), (1, 0)), 0, members)
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int8])
+    def test_accepting_array_out_of_range_message(self, dtype):
+        # an array that fails the one range check names the first bad
+        # member in the set's order (9 before 7 here), as a list would
+        members = np.array([1, 7, 0, 9], dtype=dtype)
+        with pytest.raises(ValueError) as caught:
+            Dfa(("a", "b"), np.array([[0, 1], [1, 0]]), 0, members)
+        assert str(caught.value) == "accepting state 9 out of range for 2 states"
+
+    def test_accepting_array_in_range_is_checked_as_a_whole(self, monkeypatch):
+        checked, state = [], orthocat.core._state
+
+        def record(q, n, what):
+            checked.append(what)
+            return state(q, n, what)
+
+        monkeypatch.setattr(orthocat.core, "_state", record)
+        d = Dfa(("a", "b"), np.array([[0, 1], [1, 0]]), 0, np.array([1, 1], dtype=np.uint8))
+        assert checked == ["start state"]
+        assert d.accepting == {1} and d == Dfa(("a", "b"), ((0, 1), (1, 0)), 0, {1})
 
     def test_accepting_float_array_is_rejected(self):
         with pytest.raises(TypeError):
