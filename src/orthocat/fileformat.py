@@ -45,41 +45,25 @@ class FormatError(ValueError):
 def parse_automaton(text: str) -> Dfa:
     """Parse the text format above into a validated complete DFA.
 
-    ASCII text with no ``#`` takes a bulk route: after the four header
-    lines, the rest of the text is split once, one numpy pass over its
-    bytes checks that every line holds three tokens or none, the state and
-    target columns are read as integers straight from those bytes, and the
-    targets fill one ``states × |alphabet|`` table that the automaton keeps
-    as its read-only table. Any other text, or one that fails a bulk check
-    (a malformed line, an unknown symbol, a state out of range or of more
-    than 18 digits, a repeated or missing pair), is parsed line by line
-    instead, so every error is the one a line-wise parse meets first. The
-    table is allocated only once the transition count equals
-    ``states × |alphabet|``, so a huge declared state count allocates
-    nothing.
+    Every text is read the same way. Non-ASCII line breaks become
+    ``"\\x0c"``, other non-ASCII whitespace a space, and comments are cut,
+    so every line keeps the number ``str.splitlines`` gives it. After the
+    four header lines the rest of the text is split once, one numpy pass
+    over its bytes checks that every line holds three tokens or none, the
+    state and target columns are read as integers straight from those
+    bytes, and the targets fill one ``states × |alphabet|`` table that the
+    automaton keeps as its read-only table. Only when a check fails (a
+    malformed line, an unknown symbol, a state out of range, a repeated or
+    missing pair) are the transition lines scanned one by one, to name the
+    first bad one. The table is allocated only once the transition count
+    equals ``states × |alphabet|``, so a huge declared state count
+    allocates nothing.
     """
-    split = _split_header(text) if text.isascii() and "#" not in text else None
-    if split is not None:
-        lines, body = split
-        alphabet, state_count, start, accepting = _header(lines)
-        table = _body_table(body, alphabet, state_count)
-        if table is not None:
-            return _automaton(alphabet, table, start, accepting)
-    return _parse_lines(text)
-
-
-def _parse_lines(text: str) -> Dfa:
-    """``parse_automaton`` line by line: the route for any text, and the one
-    that names the first bad line."""
-    rows = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
-    lines = list(islice(((n, tokens) for n, tokens in enumerate(rows, start=1) if tokens), 4))
-    if len(lines) < 4:
-        raise FormatError("expected alphabet/states/start/accepting header lines")
+    lines, body = _split_header(_normalised(text))
     alphabet, state_count, start, accepting = _header(lines)
-    ln_acc = lines[3][0]
-    table = _rows_table([tokens for tokens in rows[ln_acc:] if tokens], alphabet, state_count)
+    table = _body_table(body, alphabet, state_count)
     if table is None:
-        _raise_first_error(rows, ln_acc, alphabet, state_count)
+        _raise_first_error(body, lines[3][0], alphabet, state_count)
     return _automaton(alphabet, table, start, accepting)
 
 
@@ -92,26 +76,43 @@ def _automaton(
     return Dfa._make(alphabet, table, start, flags)
 
 
-# ``str.splitlines`` ends a line at each of these in ASCII text ("\r\n" is
-# one break), and ``str.split`` splits at them and at " \t\x1f" too.
-_LINE_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+# ``str.splitlines`` ends a line at each of these ASCII breaks ("\r\n" is
+# one break) and at "\x85\u2028\u2029"; ``str.split`` splits at all of them,
+# at " \t\x1f" and at the other non-ASCII whitespace.
+_BREAKS = "\n\r\x0b\x0c\x1c-\x1e"
+_LINE_BREAK = re.compile(rf"\r\n|[{_BREAKS}]")
+_COMMENT = re.compile(rf"#[^{_BREAKS}]*")
+_WIDE_BREAK = re.compile("[\x85\u2028\u2029]")
+_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f\x85\u2028\u2029]")
 _WHITESPACE = np.zeros(256, dtype=np.uint8)  # 1 a space, 2 a line break, by byte
 _WHITESPACE[list(b" \t\x1f")] = 1
 _WHITESPACE[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = 2
 
 
-def _split_header(text: str) -> tuple[list[tuple[int, list[str]]], str] | None:
+def _normalised(text: str) -> str:
+    """The text with its comments cut and its whitespace ASCII: a non-ASCII
+    line break becomes "\\x0c" (not "\\n": "\\r\\x85" is two breaks, "\\r\\n"
+    one), any other non-ASCII whitespace a space. No line break moves."""
+    if not text.isascii():
+        text = _WIDE_SPACE.sub(" ", _WIDE_BREAK.sub("\x0c", text))
+    return _COMMENT.sub("", text) if "#" in text else text
+
+
+def _split_header(text: str) -> tuple[list[tuple[int, list[str]]], str]:
     """The first four non-blank lines as (line number, tokens), and the text
-    after them; None when the text ends before a fourth line break."""
-    lines, pos = [], 0
-    for number, brk in enumerate(_LINE_BREAK.finditer(text), start=1):
-        tokens = text[pos : brk.start()].split()
-        pos = brk.end()
+    after them; raise when the text ends before a fourth one."""
+    lines, pos, end = [], 0, len(text)
+    # the end of the text ends the last line (a "|\\Z" in the pattern would
+    # make its search try every position instead of scanning for a break)
+    spans = chain(map(re.Match.span, _LINE_BREAK.finditer(text)), [(end, end)])
+    for number, (stop, after) in enumerate(spans, start=1):
+        tokens = text[pos:stop].split()
+        pos = after
         if tokens:
             lines.append((number, tokens))
             if len(lines) == 4:
                 return lines, text[pos:]
-    return None
+    raise FormatError("expected alphabet/states/start/accepting header lines")
 
 
 def _header(lines: list[tuple[int, list[str]]]) -> tuple[tuple[str, ...], int, int, list[int]]:
@@ -132,33 +133,24 @@ def _header(lines: list[tuple[int, list[str]]]) -> tuple[tuple[str, ...], int, i
         raise FormatError("state count must be positive", ln_states)
     if start_l[0] != "start" or len(start_l) != 2:
         raise FormatError("expected 'start <state>'", ln_start)
-    start = _int(start_l[1], ln_start)
-    if not 0 <= start < state_count:
-        raise FormatError(
-            f"start {_num(start)} out of range (states {_num(state_count)})", ln_start
-        )
+    start = _state(start_l[1], ln_start, state_count, "start")
     if acc_l[0] != "accepting":
         raise FormatError("expected 'accepting <state>...'", ln_acc)
     accepting = _ints(acc_l[1:])
     if accepting is None or max(accepting, default=0) >= state_count:
-        for token in acc_l[1:]:  # raise for the first bad token
-            q = _int(token, ln_acc)
-            if not 0 <= q < state_count:
-                raise FormatError(
-                    f"accepting state {_num(q)} out of range (states {_num(state_count)})",
-                    ln_acc,
-                )
+        accepting = [_state(t, ln_acc, state_count, "accepting state") for t in acc_l[1:]]
     return alphabet, state_count, start, accepting
 
 
 def _body_table(body: str, alphabet: tuple[str, ...], state_count: int) -> np.ndarray | None:
-    """The transition table of the ASCII text after the header, or None when
-    a line holds other than three tokens or none, or a column check fails."""
+    """The transition table of the text after the header, or None when a
+    line holds other than three tokens or none, or a column check fails."""
     symbols = body.split()
     if len(symbols) != 3 * state_count * len(alphabet):
         return None
     symbols = symbols[1::3]  # states and targets are read from the bytes; their strings go
-    data = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    # one byte a character: the whitespace is ASCII, any other character a "?"
+    data = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
     kind = _WHITESPACE.take(data)
     space, line_break = kind != 0, kind == 2
     first = ~space  # the first byte of each token
@@ -183,10 +175,16 @@ def _body_table(body: str, alphabet: tuple[str, ...], state_count: int) -> np.nd
 
 def _digits(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
     """The tokens of ``data`` at ``starts`` as int64, or None unless each is
-    1 to 18 ASCII digits, few enough that none overflows."""
+    ASCII digits, all but the last 18 of them zeros, so that none overflows.
+    A longer token's start and length move to its last 18 bytes, in place."""
+    long = np.flatnonzero(lengths > 18)
+    if len(long):
+        cut = starts[long] + lengths[long] - 18
+        spans = np.column_stack([starts[long], cut]).ravel()  # [start, cut) of each
+        if np.add.reduceat(data != 48, spans)[0::2].any():  # bool add: any byte not "0"
+            return None
+        starts[long], lengths[long] = cut, 18
     longest = int(lengths.max())
-    if longest > 18:
-        return None
     values = np.zeros(len(starts), dtype=np.int64)
     for j in range(longest):  # one digit of every token a step
         live = lengths > j
@@ -195,22 +193,6 @@ def _digits(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nda
             return None
         values = np.where(live, values * 10 + digit, values)
     return values
-
-
-def _rows_table(
-    body: list[list[str]], alphabet: tuple[str, ...], state_count: int
-) -> np.ndarray | None:
-    """The transition table of the transition lines' tokens, or
-    None when a line is malformed, a (state, symbol) pair repeats or one is
-    missing."""
-    if len(body) != state_count * len(alphabet) or set(map(len, body)) != {3}:
-        return None
-    tokens = list(chain.from_iterable(body))
-    qs, ts = _ints(tokens[0::3]), _ints(tokens[2::3])
-    if qs is None or ts is None or max(qs) >= state_count or max(ts) >= state_count:
-        return None
-    qs, ts = np.array(qs, dtype=np.int64), np.array(ts, dtype=np.int64)
-    return _table(qs, tokens[1::3], ts, alphabet, state_count)
 
 
 def _table(
@@ -234,9 +216,10 @@ def _table(
 
 
 def _ints(tokens: list[str]) -> list[int] | None:
-    """The tokens as ints, or None if one of them is not an integer that
-    ``_int`` accepts. The tokens come from ``str.split``, so none is empty
-    and one check of the joined string covers them all."""
+    """The tokens as ints, or None if one of them is not ASCII digits that
+    ``int()`` converts whole (``_int`` then reads them one by one). The
+    tokens come from ``str.split``, so none is empty and one check of the
+    joined string covers them all."""
     joined = "".join(tokens)
     if tokens and not (joined.isascii() and joined.isdigit()):  # as in _int
         return None
@@ -247,14 +230,16 @@ def _ints(tokens: list[str]) -> list[int] | None:
 
 
 def _raise_first_error(
-    rows: list[list[str]], first: int, alphabet: tuple[str, ...], state_count: int
+    body: str, last: int, alphabet: tuple[str, ...], state_count: int
 ) -> NoReturn:
-    """Scan the transition lines ``rows[first:]`` one by one and raise for
-    the first malformed line or repeated pair, or else for the missing
-    pairs. Called only when the bulk parse failed, so one of them exists."""
+    """Scan the transition lines, the lines of ``body`` after header line
+    ``last``, one by one and raise for the first malformed line or repeated
+    pair, or else for the missing pairs. Called only when a bulk check
+    failed, so one of them exists."""
     symbol_index = {name: i for i, name in enumerate(alphabet)}
     seen: set[tuple[int, int]] = set()
-    for number, tokens in enumerate(rows[first:], start=first + 1):
+    for number, line in enumerate(body.splitlines(), start=last + 1):
+        tokens = line.split()
         if not tokens:
             continue
         if len(tokens) != 3:
@@ -317,7 +302,16 @@ def _num(value: int) -> str:
 def _int(token: str, line: int) -> int:
     try:
         if token.isascii() and token.isdigit():  # no sign, "_" or non-ASCII digit
-            return int(token)
+            # int() limits the digits it converts; leading zeros need none
+            return int(token.lstrip("0") or "0")
     except ValueError:  # more digits than int() converts
         pass
     raise FormatError(f"expected an integer, got {_clip(repr(token))}", line)
+
+
+def _state(token: str, line: int, state_count: int, what: str) -> int:
+    """The state number of a token, named ``what`` if it is out of range."""
+    q = _int(token, line)
+    if q >= state_count:
+        raise FormatError(f"{what} {_num(q)} out of range (states {_num(state_count)})", line)
+    return q

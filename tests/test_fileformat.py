@@ -174,9 +174,11 @@ class TestHostileSizes:
     """A declared state count far beyond the transition lines gets the
     missing-pairs error without a table of that size being allocated."""
 
-    @pytest.mark.parametrize("states", [10**7, 10**4000], ids=["1e7", "1e4000"])
-    def test_declared_state_count_allocates_nothing(self, states):
-        text = f"alphabet a b\nstates {states}\nstart 0\naccepting 1\n0 a 1\n0 b 0\n1 a 1\n"
+    @pytest.mark.parametrize(
+        "states,comment", [(10**7, ""), (10**4000, ""), (10**7, "# c\n")], ids=["1e7", "1e4000", "1e7-commented"]
+    )
+    def test_declared_state_count_allocates_nothing(self, states, comment):
+        text = f"{comment}alphabet a b\nstates {states}\nstart 0\naccepting 1\n0 a 1\n0 b 0\n1 a 1\n"
         tracemalloc.start()
         try:
             with pytest.raises(FormatError, match=r"^incomplete transition table; .* missing: \(1, b\), \(2, a\),"):
@@ -344,8 +346,8 @@ def _moved_token(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# (id, edit of a valid file, whether the result gets past the bulk route,
-# whether it parses)
+# (id, edit of a valid file, whether its parse never reaches the line-wise
+# scan for the first error, and True if it parses, else a part of the error)
 _BULK_CASES = [
     ("tabs", lambda t: t.replace(" ", "\t"), True, True),
     ("unit-separator", lambda t: t.replace(" ", " \x1f"), True, True),
@@ -355,23 +357,41 @@ _BULK_CASES = [
     ),
     ("crlf", lambda t: t.replace("\n", "\r\n"), True, True),
     ("blank-lines", lambda t: t.replace("\n1 a", "\n\n \t\n\r\n1 a"), True, True),
-    ("two-and-four-tokens", _moved_token, False, False),
+    ("two-and-four-tokens", _moved_token, False, "line 6: expected '<state> <symbol> <state>'"),
     ("leading-zeros", lambda t: t.replace("\n1 b 2", "\n001 b 0002"), True, True),
     ("18-digits", lambda t: t.replace("\n1 b 2", f"\n{'1'.zfill(18)} b {'2'.zfill(18)}"), True, True),
-    ("19-digits", lambda t: t.replace("\n1 b 2", f"\n{'1'.zfill(19)} b 2"), False, True),
-    # int() refuses more than 4,300 digits, so the line-wise route rejects it
-    ("5000-digits", lambda t: t.replace("\n1 b 2", f"\n1 b {'2'.zfill(5000)}"), False, False),
-    ("19-nines", lambda t: t.replace("\n1 b 2", f"\n{'9' * 19} b 2"), False, False),
-    ("fullwidth-digit", lambda t: t.replace("\n1 b 2", "\n\uff11 b 2"), False, False),
+    ("19-digits", lambda t: t.replace("\n1 b 2", f"\n{'1'.zfill(19)} b 2"), True, True),
+    # past 18 digits, the bytes before the last 18 must all be zeros
+    ("19-digits-one-first", lambda t: t.replace("\n1 b 2", f"\n1 b 1{'2'.zfill(18)}"), False, "line 10: state 1000000000000000002 out of range"),
+    ("19-digits-sign-first", lambda t: t.replace("\n1 b 2", f"\n+{'1'.zfill(18)} b 2"), False, "line 10: expected an integer, got '+000000000000000001'"),
+    # past int()'s 4,300-digit limit only by its leading zeros, which go first
+    ("5000-digits", lambda t: t.replace("\n1 b 2", f"\n1 b {'2'.zfill(5000)}"), True, True),
+    ("5000-digits-header", lambda t: t.replace(" 0\na", f" {'0' * 5000}\na").replace("g 1", f"g {'1'.zfill(5000)}"), True, True),
+    ("5000-digits-then-duplicate", lambda t: t.replace("\n1 b 2", f"\n1 b {'2'.zfill(5000)}") + "1 b 0\n", False, "line 17: duplicate"),
+    ("19-nines", lambda t: t.replace("\n1 b 2", f"\n{'9' * 19} b 2"), False, "line 10: state 9999"),
+    ("fullwidth-digit", lambda t: t.replace("\n1 b 2", "\n\uff11 b 2"), False, "line 10: expected an integer, got '\uff11'"),
     ("no-final-newline", lambda t: t.rstrip("\n"), True, True),
-    ("duplicate", lambda t: t + "1 b 0\n", False, False),
-    ("missing", lambda t: t.replace("\n1 b 2", ""), False, False),
-    ("unknown-symbol", lambda t: t.replace("\n1 b 2", "\n1 z 2"), False, False),
-    ("out-of-range", lambda t: t.replace("\n1 b 2", "\n1 b 3"), False, False),
-    ("four-tokens", lambda t: t.replace("\n1 b 2", "\n1 b 2 2"), False, False),
-    # header errors, raised on the bulk route with the line-wise numbers
-    ("crlf-header-error", lambda t: t.replace("\n", "\r\n").replace("start 0", "start 9"), True, False),
-    ("breaks-in-header", lambda t: t.replace("\nstart 0", "\n\x0b\r\n\x1c \nstart 0 0", 1), True, False),
+    ("duplicate", lambda t: t + "1 b 0\n", False, "line 17: duplicate transition for (1, b)"),
+    ("missing", lambda t: t.replace("\n1 b 2", ""), False, "incomplete transition table; 1 missing: (1, b)"),
+    ("unknown-symbol", lambda t: t.replace("\n1 b 2", "\n1 z 2"), False, "line 10: unknown symbol 'z'"),
+    ("out-of-range", lambda t: t.replace("\n1 b 2", "\n1 b 3"), False, "line 10: state 3 out of range"),
+    ("four-tokens", lambda t: t.replace("\n1 b 2", "\n1 b 2 2"), False, "line 10: expected '<state>"),
+    # header errors, raised before the transition lines are read
+    ("crlf-header-error", lambda t: t.replace("\n", "\r\n").replace("start 0", "start 9"), True, "line 3: start 9"),
+    ("breaks-in-header", lambda t: t.replace("\nstart 0", "\n\x0b\r\n\x1c \nstart 0 0", 1), True, "line 7: expected 'start"),
+    # "\r\x85" and "\r\u2028" are two line breaks each, unlike "\r\n"
+    ("cr-nel", lambda t: t.replace("\n", "\r\x85"), True, True),
+    ("cr-nel-out-of-range", lambda t: t.replace("\n1 b 2", "\n1 b 3").replace("\n", "\r\x85"), False, "line 19: state 3"),
+    ("cr-ls-header-error", lambda t: t.replace("start 0", "start 9").replace("\n", "\r\u2028"), True, "line 5: start 9"),
+    ("cr-ls-duplicate", lambda t: (t + "1 b 0\n").replace("\n", "\r\u2028"), False, "line 33: duplicate"),
+    ("last-line-comment", lambda t: t.rstrip("\n") + " # last", True, True),
+    ("comment-line-last", lambda t: t + "# last", True, True),
+    ("nbsp", lambda t: t.replace(" ", "\xa0"), True, True),
+    ("ideographic-space", lambda t: t.replace(" ", "\u3000"), True, True),
+    # quoted as written, not as the "?" bytes that the bulk checks read
+    ("unknown-non-ascii-symbol", lambda t: t.replace("\n1 b 2", "\n1 b\xe9\u4e00\xa02"), False, "line 10: unknown symbol 'b\xe9\u4e00'"),
+    ("lone-surrogate", lambda t: t.replace("\n1 b 2", "\n1 \ud800 2"), False, "line 10: unknown symbol '\\ud800'"),
+    ("header-only", lambda t: "\n".join(t.splitlines()[:4]), False, "incomplete transition table; 12 missing"),
 ]
 
 
@@ -428,31 +448,37 @@ def _ascii_file(draws) -> str:
 
 
 class TestBulkRoute:
-    """Comment-free ASCII text takes the bulk route; the same text with a
-    comment appended means the same but takes the line-wise route. The two
-    must agree on the automaton, or on the exact error message and line."""
+    """Every text is parsed in bulk; its transition lines are scanned one by
+    one only after a bulk check fails, to name the first error. A file and
+    the same file with a comment appended must agree on the automaton, or
+    on the exact error message and line."""
 
     @pytest.fixture
     def line_wise(self, monkeypatch):
-        """The texts parsed line by line, in order."""
-        parsed, parse_lines = [], fileformat._parse_lines
+        """The bodies scanned line by line for the first error, in order."""
+        scanned, scan = [], fileformat._raise_first_error
 
-        def record(text):
-            parsed.append(text)
-            return parse_lines(text)
+        def record(body, *args):
+            scanned.append(body)
+            scan(body, *args)
 
-        monkeypatch.setattr(fileformat, "_parse_lines", record)
-        return parsed
+        monkeypatch.setattr(fileformat, "_raise_first_error", record)
+        return scanned
 
     @pytest.mark.parametrize(
-        "edit,bulk,valid", [case[1:] for case in _BULK_CASES], ids=[c[0] for c in _BULK_CASES]
+        "edit,bulk,expect", [case[1:] for case in _BULK_CASES], ids=[c[0] for c in _BULK_CASES]
     )
-    def test_edited_file(self, line_wise, edit, bulk, valid):
+    def test_edited_file(self, line_wise, edit, bulk, expect):
         text = edit(serialize_automaton(witness_a(3)))
         outcome = _outcome(text)
         assert (line_wise == []) == bulk
-        assert outcome.startswith("Dfa(") == valid
         assert outcome == _outcome(text + "# x\n")
+        if expect is True:
+            assert outcome.startswith("Dfa(")
+        else:
+            with pytest.raises(FormatError) as info:
+                parse_automaton(text)
+            assert expect in str(info.value)
 
     @pytest.mark.parametrize("token", ["1:", "0;", "2@", "4a"])
     def test_non_digit_that_would_read_as_a_state(self, token):
@@ -476,10 +502,26 @@ class TestBulkRoute:
         # the bulk route must parse a good share of them
         assert sum(bulk) > 300
 
-    def test_serialized_file_never_reaches_the_line_wise_route(self, monkeypatch):
-        def line_wise(text):
-            raise AssertionError("parsed line by line")
+    def test_outcomes_are_pinned(self):
+        """The outcomes of the seeded files and the edits, each also with a
+        comment appended, hashed and pinned. The digest was computed with
+        the line-by-line parser that came before, with Python's limit on
+        integer digits lifted: only then does that parser read a 5,000-digit
+        zero-padded state."""
+        draws = splitmix64_stream(0xF11E_0019)
+        texts = [_ascii_file(draws) for _ in range(1500)]
+        texts += [edit(serialize_automaton(witness_a(3))) for _, edit, *_ in _BULK_CASES]
+        outcomes = [_outcome(t) for text in texts for t in (text, text + "# x\n")]
+        assert sum(o.startswith("Dfa(") for o in outcomes) == 1210
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == "bb35dc0409a4a27dfcfc31781084e42bc95b5d5d317ef37b8d04a42422548c89"
 
-        monkeypatch.setattr(fileformat, "_parse_lines", line_wise)
+    def test_serialized_file_never_reaches_the_line_wise_route(self, monkeypatch):
+        def line_wise(*args):
+            raise AssertionError("scanned line by line")
+
+        monkeypatch.setattr(fileformat, "_raise_first_error", line_wise)
         d = witness_b(8)
-        assert parse_automaton(serialize_automaton(d)) == d
+        text = serialize_automaton(d)
+        for variant in (text, "# a comment\n" + text, text.replace(" ", "\xa0")):
+            assert parse_automaton(variant) == d
