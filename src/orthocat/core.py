@@ -78,8 +78,9 @@ class Dfa(_Frozen):
     ``delta`` may also be given as a 2-D integer numpy table. The automaton
     keeps a read-only int64 copy, which nothing else can write, and makes
     the rows on first use of ``delta``; so the numpy routes, among them
-    ``minimize`` and both equivalence tests, can make and read a large
-    automaton without ever building its rows in Python. States
+    ``minimize`` and the Moore refinement that both equivalence tests share
+    with it, can make and read a large automaton without ever building its
+    rows in Python. States
     must be integers: Python's, numpy's or any other type with
     ``__index__``; the automaton keeps every state as a Python int, and
     ``accepting``, a frozenset, or ``_flags``, one bool per state, as its
@@ -542,12 +543,11 @@ def _bfs_levels(
 
 
 def state_equivalent(d: Dfa, q1: int, q2: int) -> bool:
-    """True iff the two states accept exactly the same words, by
-    ``language_equivalent``'s pair search started from ``(q1, q2)``."""
+    """True iff the two states accept exactly the same words: iff Moore
+    refinement (``_moore_vector``) puts them in one block."""
     q1, q2 = _state(q1, d.state_count, "state"), _state(q2, d.state_count, "state")
-    if q1 == q2:
-        return True
-    return _agree(d, d, q1, q2)
+    blocks = _moore_vector(d._table, d._flags)
+    return bool(blocks[q1] == blocks[q2])
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -625,46 +625,11 @@ def _quotient(
 
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Exact language equality: ``_agree`` from the two start states;
-    ``ValueError`` when the product of the state counts passes 2**63."""
+    """Exact language equality: the two canonical minimal DFAs are equal,
+    since ``minimize`` gives the same automaton for equal languages over
+    equal alphabets. ``ValueError`` when the alphabets differ."""
     _require_same_alphabet(d1, d2)
-    return _agree(d1, d2, d1.start, d2.start)
-
-
-def _agree(d1: Dfa, d2: Dfa, p: int, q: int) -> bool:
-    """True iff state ``p`` of ``d1`` and state ``q`` of ``d2`` accept the
-    same words, by product search for a distinguishing pair.
-
-    The search visits the pairs of states that one word reaches from
-    ``(p, q)``, one BFS level at a time, each pair packed as the int64 key
-    ``p * n2 + q`` (``n2`` the state count of ``d2``), and fails at a pair
-    where only one side accepts. A level takes one compare of the accepting
-    flags, one gather of the successors on every letter from the two tables
-    (never the rows of a table-backed automaton), and the keys not seen
-    before by set difference. A key, and each partial sum that forms it, is
-    at most ``n1 * n2 - 1``; so past ``n1 * n2 = 2**63`` the search raises
-    ``ValueError`` rather than let a key wrap.
-    """
-    n1, n2 = d1.state_count, d2.state_count
-    if n1 * n2 > 1 << 63:
-        raise ValueError(f"{n1} x {n2} state pairs are too many for int64 keys")
-    table1, flags1 = d1._table, d1._flags
-    table2, flags2 = (table1, flags1) if d2 is d1 else (d2._table, d2._flags)
-    key = p * n2 + q
-    seen = {key}
-    waiting = np.array([key], dtype=np.int64)
-    while waiting.size:
-        p, q = np.divmod(waiting, n2)
-        if (flags1[p] != flags2[q]).any():
-            return False
-        keys = table1[p]
-        keys *= n2
-        keys += table2[q]
-        fresh = set(keys.ravel().tolist())
-        fresh -= seen
-        seen |= fresh
-        waiting = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
-    return True
+    return minimize(d1) == minimize(d2)
 
 
 def determinize(n: Nfa) -> Dfa:

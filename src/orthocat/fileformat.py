@@ -81,7 +81,7 @@ def _automaton(
 # at " \t\x1f" and at the other non-ASCII whitespace.
 _BREAKS = "\n\r\x0b\x0c\x1c-\x1e"
 _LINE_BREAK = re.compile(rf"\r\n|[{_BREAKS}]")
-_COMMENT = re.compile(rf"#[^{_BREAKS}]*")
+_COMMENT = re.compile(rf"#[^{_BREAKS}\x85\u2028\u2029]*")
 _WIDE_BREAK = re.compile("[\x85\u2028\u2029]")
 _WIDE_SPACE = re.compile(r"[^\S\x00-\x7f\x85\u2028\u2029]")
 _WHITESPACE = np.zeros(256, dtype=np.uint8)  # 1 a space, 2 a line break, by byte
@@ -92,10 +92,13 @@ _WHITESPACE[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = 2
 def _normalised(text: str) -> str:
     """The text with its comments cut and its whitespace ASCII: a non-ASCII
     line break becomes "\\x0c" (not "\\n": "\\r\\x85" is two breaks, "\\r\\n"
-    one), any other non-ASCII whitespace a space. No line break moves."""
+    one), any other non-ASCII whitespace a space. No line break moves.
+    Comments go first, so non-ASCII text inside them costs no more passes."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
     if not text.isascii():
         text = _WIDE_SPACE.sub(" ", _WIDE_BREAK.sub("\x0c", text))
-    return _COMMENT.sub("", text) if "#" in text else text
+    return text
 
 
 def _split_header(text: str) -> tuple[list[tuple[int, list[str]]], str]:

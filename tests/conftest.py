@@ -67,6 +67,25 @@ def _subset(mask: int, n: int) -> frozenset[int]:
     return frozenset(p for p in range(n) if mask >> p & 1)
 
 
+def product_walk_agrees(d1: Dfa, p: int, d2: Dfa, q: int) -> bool:
+    """True iff state ``p`` of ``d1`` and state ``q`` of ``d2`` accept the
+    same words: a walk over the pairs of states that one word reaches from
+    ``(p, q)``, which fails at a pair where only one side accepts. It reads
+    only the ``delta`` rows and accepting sets, so it shares no algorithm
+    with the library's equivalence tests."""
+    seen = {(p, q)}
+    todo = [(p, q)]
+    while todo:
+        p, q = todo.pop()
+        if (p in d1.accepting) != (q in d2.accepting):
+            return False
+        for pair in zip(d1.delta[p], d2.delta[q]):
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return True
+
+
 @pytest.fixture(scope="session")
 def bound_corpus() -> list[tuple[Dfa, Dfa]]:
     """500 pairs for the catenation bound ceilings; n starts at 2 because the

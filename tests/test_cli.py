@@ -10,6 +10,7 @@ import pytest
 import orthocat
 from orthocat import (
     AmbiguityWitness,
+    Dfa,
     enumerate_accepted,
     general_upper_bound,
     language_equivalent,
@@ -229,6 +230,21 @@ class TestFileSubcommands:
         fb.write_text(dump(witness_b(3)))
         assert main(["eq", str(fa), str(fa)]) == 0
         assert main(["eq", str(fa), str(fb)]) == 1
+
+    @pytest.mark.parametrize("flipped,status", [(set(), 0), ({1000}, 1)], ids=["equal", "one-flipped"])
+    def test_eq_on_long_coprime_cycles_is_fast(self, tmp_path, capsys, flipped, status):
+        # unary cycles of 2,000 and 2,001 states, all accepting but the
+        # flipped state of the second: one word reaches every one of their
+        # 4,002,000 pairs of states
+        files = []
+        for n, rejecting in ((2000, set()), (2001, flipped)):
+            files.append(tmp_path / f"cycle{n}.txt")
+            cycle = Dfa(("a",), [((q + 1) % n,) for q in range(n)], 0, set(range(n)) - rejecting)
+            files[-1].write_text(dump(cycle))
+        t0 = time.perf_counter()
+        assert main(["eq", *map(str, files)]) == status
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().out == ("equivalent\n" if status == 0 else "not equivalent\n")
 
     def test_witness_subcommand_round_trips(self, tmp_path):
         out = tmp_path / "w.txt"

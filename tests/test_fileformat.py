@@ -197,6 +197,25 @@ class TestComments:
         )
         assert parse_automaton(noisy) == witness_b(3)
 
+    @pytest.mark.parametrize(
+        "edit,expect",
+        [
+            (lambda t: t, "Dfa("),
+            (lambda t: t.replace("start 0", "start 9"), "line 3: start 9"),
+            (lambda t: t.replace("\n1 b 2", "\n1 b 3"), "line 10: state 3"),
+            (lambda t: t + "1 b 0\n", "line 17: duplicate"),
+        ],
+        ids=["valid", "header-error", "out-of-range", "duplicate"],
+    )
+    def test_non_ascii_comments_and_wide_breaks(self, edit, expect):
+        # a non-ASCII comment on every line, ended by "\n" or by a non-ASCII
+        # line break, which must end the comment and keep the line numbers
+        text = edit(serialize_automaton(witness_a(3)))
+        outcome = _outcome(text)
+        assert expect in outcome
+        for end in ("\n", "\x85", "\u2028", "\u2029"):
+            assert _outcome(text.replace("\n", f" # caf\xe9\xa0\u3000\xe9{end}")) == outcome
+
 
 # Tokens that are valid somewhere, plus non-printable, non-integer, huge and
 # comment-starting ones; st.text() adds whitespace and line breaks.
