@@ -32,6 +32,11 @@ CSV_HEADER = "m,n,predicted,constructed,minimized,orthogonal,elapsed_ms"
 # decision procedure itself is exact.
 _VERIFY_ORACLE_MAX_LEN = 8
 
+# Largest m + n that `nfa-bound` takes: its fooling-set check makes one
+# membership test for each of (m + n)**2 / 2 pairs, so its cost grows with
+# (m + n)**3; 350 takes about a second.
+_NFA_BOUND_MAX_STATES = 350
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -216,6 +221,10 @@ def _handle_witness(args: argparse.Namespace) -> int:
 
 def _handle_nfa_bound(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
+    if m + n > _NFA_BOUND_MAX_STATES:
+        raise ValueError(
+            f"nfa-bound {m} {n}: m + n passes the limit of {_NFA_BOUND_MAX_STATES} states"
+        )
     nfa = build_catenation_nfa(unary_star_dfa(m, "a"), unary_star_dfa(n, "b"))
     lang = minimize(determinize(nfa))
     result = verify_fooling_set(lang, fooling_set_unary_catenation(m, n))

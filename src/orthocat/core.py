@@ -130,9 +130,7 @@ class Dfa(_Frozen):
             and accepting.min(initial=0) >= 0
             and accepting.max(initial=0) < n
         ):  # one range check for an integer array, and it becomes flags
-            flags = np.zeros(n, dtype=bool)
-            flags[accepting] = True
-            accepting = flags
+            accepting = _flags_of(n, accepting)
         else:  # name the first bad state in the set's order
             accepting = frozenset([_state(q, n, "accepting state") for q in frozenset(accepting)])
         self._fill(alphabet, delta, start, accepting)
@@ -178,10 +176,7 @@ class Dfa(_Frozen):
     @cached_property
     def _flags(self) -> np.ndarray:
         """One read-only bool per state; made from ``accepting`` on first use."""
-        flags = np.zeros(self.state_count, dtype=bool)
-        flags[list(self.accepting)] = True
-        flags.flags.writeable = False
-        return flags
+        return _flags_of(self.state_count, list(self.accepting))
 
     @property
     def _table(self) -> np.ndarray:
@@ -198,7 +193,12 @@ class Dfa(_Frozen):
         return (self.alphabet, self.start, self._flags.tobytes(), self._table.tobytes())
 
     def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, Dfa) else NotImplemented
+        if not isinstance(other, Dfa):
+            return NotImplemented
+        if self._stored_table is None and other._stored_table is None:  # rows: make no table
+            fields = operator.attrgetter("alphabet", "start", "accepting", "delta")
+            return fields(self) == fields(other)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -233,6 +233,15 @@ def _check_rows(
                     f"transition ({q}, {_clip(alphabet[s])}) targets invalid state {target}"
                 )
     return not_int
+
+
+def _flags_of(n: int, states: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Read-only accepting flags: one bool per state of ``n``, true at
+    ``states`` (ints or an integer array, all checked to be in range)."""
+    flags = np.zeros(n, dtype=bool)
+    flags[states] = True
+    flags.flags.writeable = False
+    return flags
 
 
 def _state(q: int, n: int, what: str) -> int:

@@ -27,7 +27,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import _QUOTED_CHARS, Dfa, _check_alphabet, _clip
+from .core import _QUOTED_CHARS, Dfa, _check_alphabet, _clip, _flags_of
 
 # How many missing (state, symbol) pairs an error names; it gives the count
 # of the rest, so a huge declared state count cannot produce a huge message.
@@ -64,16 +64,7 @@ def parse_automaton(text: str) -> Dfa:
     table = _body_table(body, alphabet, state_count)
     if table is None:
         _raise_first_error(body, lines[3][0], alphabet, state_count)
-    return _automaton(alphabet, table, start, accepting)
-
-
-def _automaton(
-    alphabet: tuple[str, ...], table: np.ndarray, start: int, accepting: list[int]
-) -> Dfa:
-    """The automaton of a checked table, start and accepting states."""
-    flags = np.zeros(len(table), dtype=bool)
-    flags[accepting] = True
-    return Dfa._make(alphabet, table, start, flags)
+    return Dfa._make(alphabet, table, start, _flags_of(state_count, accepting))
 
 
 # ``str.splitlines`` ends a line at each of these ASCII breaks ("\r\n" is

@@ -101,19 +101,20 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     left it, and :func:`_split_of` counts only states of the first part.
 
     Levels of at most ``_DENSE_MIN_QUEUE`` nodes are expanded by a Python
-    loop over tuples. Once a level holds more, :func:`_dense_search` starts
-    the search over with one numpy step per level, each level found as a
-    set, and reads the loop's witness off the levels: the least word of the
-    hit level's length that reaches a hit, the least hit it reaches, and as
-    each node's parent the least node below that the word's prefix reaches.
-    It runs only while its arrays fit ``_DENSE_MAX_CELLS`` int64 cells (about
+    loop. Once a level holds more, :func:`_dense_search` starts the search
+    over with one numpy step per level, each level found as a set, and reads
+    the loop's witness off the levels: the least word of the hit level's
+    length that reaches a hit, the least hit it reaches, and as each node's
+    parent the least node below that the word's prefix reaches. It runs
+    only while its arrays fit ``_DENSE_MAX_CELLS`` int64 cells (about
     24 * k * (m + n)**2 for k letters); past that the loop runs to the end.
+    Both routes read the NFA's cells, frozensets, as built, in any order.
     """
     _require_same_alphabet(a, b)
     nfa = build_catenation_nfa(a, b)
     k = len(nfa.alphabet)
     acc = nfa.accepting
-    succ = [[tuple(sorted(cell)) for cell in row] for row in nfa.delta]
+    succ = nfa.delta
 
     bits = len(succ).bit_length()  # 2**bits > m + n, so a spare state fits
     # The dense route's int32 level array and bool hit array over every key,
@@ -163,7 +164,7 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
 
 
 def _dense_search(
-    succ: list[list[tuple[int, ...]]],
+    succ: tuple[tuple[frozenset[int], ...], ...],
     acc: frozenset[int],
     bits: int,
     start: tuple[int, int, bool],
@@ -173,8 +174,9 @@ def _dense_search(
     and its word, or None past the last level.
 
     A node ``(s, t, diverged)`` is the key ``(s << bits | t) << 1 | diverged``,
-    so keys sort as the tuples do. A spare state, ``len(succ)``, pads every
-    cell to two successors. ``level[key]`` is the BFS level of a node found,
+    so keys sort as the tuples do. ``succ`` holds the catenation NFA's cells,
+    frozensets of at most two successors; a spare state, ``len(succ)``, pads
+    every cell to two. ``level[key]`` is the BFS level of a node found,
     -1 for one not yet found and -2 for one that holds the spare state. Each
     step takes the next level as the set of new keys among the successors
     of its level, and keeps each new key it meets with the row of the node
@@ -190,7 +192,7 @@ def _dense_search(
     k = len(succ[0])
     spare, low, shift = len(succ), (1 << bits) - 1, bits + 1
     table = np.full((1 << bits, k, 2), spare, dtype=np.int64)
-    table[:spare] = [[cell + (spare,) * (2 - len(cell)) for cell in row] for row in succ]
+    table[:spare] = [[tuple(cell) + (spare,) * (2 - len(cell)) for cell in row] for row in succ]
     # the successors of s and of t for the four choices of a symbol, in order
     firsts = table[:, :, [0, 0, 1, 1]].reshape(1 << bits, 4 * k)
     seconds = table[:, :, [0, 1, 0, 1]].reshape(1 << bits, 4 * k)
@@ -249,9 +251,10 @@ def _dense_search(
 
 
 def _steps(
-    succ: list[list[tuple[int, ...]]], node: tuple[int, int, bool], sym: int
+    succ: tuple[tuple[frozenset[int], ...], ...], node: tuple[int, int, bool], sym: int
 ) -> set[tuple[int, int, bool]]:
-    """The self-product nodes that ``node`` steps to on ``sym``."""
+    """The self-product nodes that ``node`` steps to on ``sym``, read off the
+    NFA's cells, frozensets, in ``succ``."""
     s, t, diverged = node
     return {
         (s2, t2, True) if s2 < t2 else (t2, s2, diverged or s2 != t2)

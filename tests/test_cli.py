@@ -270,6 +270,17 @@ class TestNfaBound:
         assert "nfa states: 5" in out
         assert "certified lower bound: 5" in out
 
+    @pytest.mark.parametrize("m,n", [(175, 176), (10**9, 1)])
+    def test_refuses_a_pair_past_the_limit_fast(self, capsys, m, n):
+        t0 = time.perf_counter()
+        assert main(["nfa-bound", str(m), str(n)]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert "limit of 350 states" in capsys.readouterr().err
+
+    def test_takes_the_largest_pair_within_the_limit(self, capsys):
+        assert main(["nfa-bound", "175", "175"]) == 0
+        assert "certified lower bound: 350" in capsys.readouterr().out
+
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports this checkout's orthocat,

@@ -437,6 +437,35 @@ class TestDenseRoute:
         assert [_witness_key(is_orthogonal(a, b).witness) for a, b in pairs] == expected
         assert len(calls) == (2 if m == 200 else 1)  # (a40, b40) stays narrow
 
+    def test_witness_does_not_depend_on_successor_order(self, monkeypatch):
+        # the wide pairs of the pinned digest: the loop's first hits of a few
+        # of them come out in another order if ``fresh`` goes unsorted
+        pairs = dfa_pairs(2, 1000, max_m=6, max_n=6)
+        pairs += [(witness_b(40), witness_a(40)), (witness_b(200), witness_a(200))]
+
+        def witnesses():
+            keys = []
+            for limit in QUEUE_LIMITS:
+                with _handover_above(limit):
+                    keys.append([_witness_key(is_orthogonal(a, b).witness) for a, b in pairs])
+            return keys
+
+        expected = witnesses()
+        build, turned = orthocat.orthogonality.build_catenation_nfa, []
+
+        def reversed_cells(a, b):
+            # each cell a tuple, largest successor first; a frozenset of small
+            # ints yields them least first
+            nfa = build(a, b)
+            delta = tuple(tuple(tuple(sorted(c, reverse=True)) for c in row) for row in nfa.delta)
+            turned.extend(c for row in delta for c in row if list(c) != sorted(c))
+            object.__setattr__(nfa, "delta", delta)  # past Nfa's own freezing of the cells
+            return nfa
+
+        monkeypatch.setattr(orthocat.orthogonality, "build_catenation_nfa", reversed_cells)
+        assert witnesses() == expected
+        assert turned and sum(w is not None for w in expected[0]) > 50
+
     def test_not_taken_past_the_budget(self, monkeypatch):
         pair = witness_b(200), witness_a(200)
         expected = _witness_key(is_orthogonal(*pair).witness)

@@ -267,6 +267,40 @@ class TestDfaForms:
         other = Dfa(d.alphabet, d.delta, d.start, frozenset({0}))
         assert as_table(other) != d
 
+    @staticmethod
+    def forms(d: Dfa) -> list[Dfa]:
+        """``d`` made anew with rows or a table, and a set or flags; an
+        integer array of accepting states becomes flags beside the rows."""
+        members = np.array(sorted(d.accepting), dtype=np.int64)
+        return [
+            Dfa(d.alphabet, delta, d.start, accepting)
+            for delta in (d.delta, np.array(d.delta))
+            for accepting in (d.accepting, members)
+        ]
+
+    def test_eq_and_hash_agree_across_forms_on_random_pairs(self):
+        for a, b in dfa_pairs(0xE0_0001, 60, max_m=4, max_n=4):
+            flipped = Dfa(a.alphabet, a.delta, a.start, a.accepting ^ {a.state_count - 1})
+            rows = [list(row) for row in a.delta]
+            rows[-1][-1] = (rows[-1][-1] + 1) % a.state_count
+            moved = Dfa(a.alphabet, rows, a.start, a.accepting)
+            for x, y in [(a, a), (a, b), (a, flipped), (a, moved)]:
+                same = x.accepting == y.accepting and x.delta == y.delta  # one alphabet, start
+                for fx in self.forms(x):
+                    for fy in self.forms(y):
+                        assert (fx == fy) is same and (fy == fx) is same
+                        assert (fx != fy) is not same
+                        assert not same or hash(fx) == hash(fy)
+
+    def test_eq_of_row_backed_automata_makes_no_table(self, monkeypatch):
+        pairs = [(a, a) for a, _ in dfa_pairs(0xE0_0002, 20)] + dfa_pairs(0xE0_0003, 20)
+        rows = [[f for f in self.forms(d) if f._stored_table is None] for p in pairs for d in p]
+        monkeypatch.setattr(Dfa, "_table", property(lambda d: pytest.fail("a table was made")))
+        for xs, ys in zip(rows[::2], rows[1::2]):
+            for x in xs:
+                for y in ys:  # one alphabet and start: the rest decides
+                    assert (x == y) is (x.accepting == y.accepting and x.delta == y.delta)
+
     def test_table_is_a_read_only_copy(self):
         array = np.array(witness_b(4).delta)
         d = Dfa(witness_b(4).alphabet, array, 0, {1})
