@@ -193,12 +193,7 @@ class Dfa(_Frozen):
         return (self.alphabet, self.start, self._flags.tobytes(), self._table.tobytes())
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dfa):
-            return NotImplemented
-        if self._stored_table is None and other._stored_table is None:  # rows: make no table
-            fields = operator.attrgetter("alphabet", "start", "accepting", "delta")
-            return fields(self) == fields(other)
-        return self._key() == other._key()
+        return self._key() == other._key() if isinstance(other, Dfa) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -236,8 +231,8 @@ def _check_rows(
 
 
 def _flags_of(n: int, states: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Read-only accepting flags: one bool per state of ``n``, true at
-    ``states`` (ints or an integer array, all checked to be in range)."""
+    """Read-only flags, one bool per state of ``n``, true at ``states`` (ints
+    or an integer array), which must already lie in ``0..n-1``: none is checked."""
     flags = np.zeros(n, dtype=bool)
     flags[states] = True
     flags.flags.writeable = False

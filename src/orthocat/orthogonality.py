@@ -21,7 +21,15 @@ from .catenation import (
     build_catenation_nfa,
     valid_second_components,
 )
-from .core import _DENSE_MIN_QUEUE, Dfa, Word, _bfs_tree, _require_same_alphabet, format_word
+from .core import (
+    _DENSE_MIN_QUEUE,
+    Dfa,
+    Word,
+    _bfs_tree,
+    _flags_of,
+    _require_same_alphabet,
+    format_word,
+)
 
 
 @dataclass(frozen=True)
@@ -196,8 +204,7 @@ def _dense_search(
     # the successors of s and of t for the four choices of a symbol, in order
     firsts = table[:, :, [0, 0, 1, 1]].reshape(1 << bits, 4 * k)
     seconds = table[:, :, [0, 1, 0, 1]].reshape(1 << bits, 4 * k)
-    flags = np.zeros(1 << bits, dtype=bool)
-    flags[list(acc)] = True
+    flags = _flags_of(1 << bits, list(acc))
     hit = np.zeros((1 << bits, 1 << bits, 2), dtype=bool)
     hit[:, :, 1] = np.logical_and.outer(flags, flags)
     hit = hit.ravel()  # diverged, and both accepting

@@ -454,11 +454,17 @@ class TestDenseRoute:
         build, turned = orthocat.orthogonality.build_catenation_nfa, []
 
         def reversed_cells(a, b):
-            # each cell a tuple, largest successor first; a frozenset of small
-            # ints yields them least first
+            # each cell a tuple, largest successor first; a frozenset yields
+            # its members in hash-slot order, not sorted, so ``turned`` counts
+            # the cells that this order reads otherwise than the frozenset does
             nfa = build(a, b)
             delta = tuple(tuple(tuple(sorted(c, reverse=True)) for c in row) for row in nfa.delta)
-            turned.extend(c for row in delta for c in row if list(c) != sorted(c))
+            turned.extend(
+                c
+                for row, built in zip(delta, nfa.delta)
+                for c, cell in zip(row, built)
+                if c != tuple(cell)
+            )
             object.__setattr__(nfa, "delta", delta)  # past Nfa's own freezing of the cells
             return nfa
 

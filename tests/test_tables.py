@@ -292,15 +292,6 @@ class TestDfaForms:
                         assert (fx != fy) is not same
                         assert not same or hash(fx) == hash(fy)
 
-    def test_eq_of_row_backed_automata_makes_no_table(self, monkeypatch):
-        pairs = [(a, a) for a, _ in dfa_pairs(0xE0_0002, 20)] + dfa_pairs(0xE0_0003, 20)
-        rows = [[f for f in self.forms(d) if f._stored_table is None] for p in pairs for d in p]
-        monkeypatch.setattr(Dfa, "_table", property(lambda d: pytest.fail("a table was made")))
-        for xs, ys in zip(rows[::2], rows[1::2]):
-            for x in xs:
-                for y in ys:  # one alphabet and start: the rest decides
-                    assert (x == y) is (x.accepting == y.accepting and x.delta == y.delta)
-
     def test_table_is_a_read_only_copy(self):
         array = np.array(witness_b(4).delta)
         d = Dfa(witness_b(4).alphabet, array, 0, {1})
