@@ -10,6 +10,7 @@ on that NFA's self-product.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ from .core import (
     _require_same_alphabet,
     format_word,
 )
+
+Node = tuple[int, int, bool]  # a self-product node (s, t, diverged) of the search
 
 
 @dataclass(frozen=True)
@@ -96,32 +99,30 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     Breadth-first search over self-product states (s, t, diverged) of the
     catenation NFA: the flag records whether the two runs have differed so
     far, and a diverged pair of accepting states is exactly a word with two
-    distinct factorizations. Frontier nodes are grouped by the word that
-    first reaches them and groups are expanded in word order (many product
-    nodes share one word), so the first hit is the shortest ambiguous word
-    with ties broken in alphabet order; its two runs yield the splits.
+    distinct factorizations. :func:`_search` groups frontier nodes by the
+    word that first reaches them and expands groups in word order (many
+    product nodes share one word), so the first hit is the shortest
+    ambiguous word with ties broken in alphabet order; its two runs yield
+    the splits.
 
     A diverged node and its mirror (t, s) are reached by the same words, so
     each unordered pair of runs is searched once, stored as (min, max). The
     splits survive: two runs both in the first automaton's part are one run
     (it is deterministic, and no run returns there from the second's part),
     so the lower state is the run still in the first part until both have
-    left it, and :func:`_split_of` counts only states of the first part.
+    left it, and :func:`_witness` counts only states of the first part.
 
-    Levels of at most ``_DENSE_MIN_QUEUE`` nodes are expanded by a Python
-    loop. Once a level holds more, :func:`_dense_search` starts the search
-    over with one numpy step per level, each level found as a set, and reads
-    the loop's witness off the levels: the least word of the hit level's
-    length that reaches a hit, the least hit it reaches, and as each node's
-    parent the least node below that the word's prefix reaches. It runs
-    only while its arrays fit ``_DENSE_MAX_CELLS`` int64 cells (about
-    24 * k * (m + n)**2 for k letters); past that the loop runs to the end.
-    Both routes read the NFA's cells, frozensets, as built, in any order.
+    Levels of at most ``_DENSE_MIN_QUEUE`` nodes are expanded by the loop.
+    Once a level holds more, :func:`_dense_search` starts the search over
+    with one numpy step per level and marks the nodes on shortest paths to
+    a hit; the loop, admitting only those, then reads the same witness. The
+    numpy route runs only while its arrays fit ``_DENSE_MAX_CELLS`` int64
+    cells (about 24 * k * (m + n)**2 for k letters); past that the loop runs
+    to the end. Both routes read the NFA's cells, frozensets, as built, in
+    any order.
     """
     _require_same_alphabet(a, b)
     nfa = build_catenation_nfa(a, b)
-    k = len(nfa.alphabet)
-    acc = nfa.accepting
     succ = nfa.delta
 
     bits = len(succ).bit_length()  # 2**bits > m + n, so a spare state fits
@@ -129,20 +130,39 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     # and six arrays of the 4 * k candidates of each node (s <= t, diverged)
     # there is: two for the new keys each step meets and their rows, kept for
     # every level, and four for one step's work, in case all wait in one level.
-    cells = (3 << 2 * bits) + 24 * k * len(succ) * (len(succ) + 1)
+    cells = (3 << 2 * bits) + 24 * len(nfa.alphabet) * len(succ) * (len(succ) + 1)
     narrow = _DENSE_MIN_QUEUE if cells <= _DENSE_MAX_CELLS else float("inf")
+    found = _search(succ, nfa.accepting, bits, (a.start, a.start, False), narrow)
+    return OrthogonalityVerdict(found and _witness(*found, a.state_count))
 
-    Node = tuple[int, int, bool]
-    start: Node = (a.start, a.start, False)
+
+def _search(
+    succ: tuple[tuple[frozenset[int], ...], ...],
+    acc: frozenset[int],
+    bits: int,
+    start: Node,
+    narrow: float,
+    keep: Callable[[Node, int], bool] | None = None,
+) -> tuple[list[Node], Word] | None:
+    """Search the self-product of :func:`is_orthogonal` from ``start`` in
+    word order; return the first hit's chain, start first, and its word, or
+    None past the last level.
+
+    Once a level holds more than ``narrow`` nodes, the search is left to
+    :func:`_dense_search`. When ``keep`` is given, a node met at BFS level
+    ``depth`` is admitted only if ``keep(node, depth)`` is true.
+    """
+    k = len(succ[0])
     parents: dict[Node, tuple[Node, int] | None] = {start: None}
     frontier: list[list[Node]] = [[start]]  # groups share a word, in lex order
     count = 1  # nodes in frontier
+    depth = 0
     while frontier:
         if count > narrow:
-            found = _dense_search(succ, acc, bits, start)
-            return OrthogonalityVerdict(found and _witness(*found, a.state_count))
+            return _dense_search(succ, acc, bits, start)
         next_frontier: list[list[Node]] = []
         count = 0
+        depth += 1
         for group in frontier:
             for sym in range(k):
                 fresh: list[Node] = []
@@ -150,7 +170,7 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
                     for s2 in succ[s][sym]:
                         for t2 in succ[t][sym]:
                             nxt = (s2, t2, True) if s2 < t2 else (t2, s2, diverged or s2 != t2)
-                            if nxt in parents:
+                            if nxt in parents or keep and not keep(nxt, depth):
                                 continue
                             parents[nxt] = ((s, t, diverged), sym)
                             fresh.append(nxt)
@@ -163,23 +183,19 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
                         while (edge := parents[chain[-1]]) is not None:
                             chain.append(edge[0])
                             word.append(edge[1])
-                        witness = _witness(chain[::-1], tuple(reversed(word)), a.state_count)
-                        return OrthogonalityVerdict(witness)
+                        return chain[::-1], tuple(reversed(word))
                 next_frontier.append(fresh)
                 count += len(fresh)
         frontier = next_frontier
-    return OrthogonalityVerdict(None)
+    return None
 
 
 def _dense_search(
-    succ: tuple[tuple[frozenset[int], ...], ...],
-    acc: frozenset[int],
-    bits: int,
-    start: tuple[int, int, bool],
-) -> tuple[list[tuple[int, int, bool]], Word] | None:
-    """Search the self-product of :func:`is_orthogonal` from ``start`` with
-    one numpy step per BFS level; return the loop's hit chain, start first,
-    and its word, or None past the last level.
+    succ: tuple[tuple[frozenset[int], ...], ...], acc: frozenset[int], bits: int, start: Node
+) -> tuple[list[Node], Word] | None:
+    """Search as :func:`_search` does from ``start``, with one numpy step
+    per BFS level, and return the same hit chain and word, or None past the
+    last level.
 
     A node ``(s, t, diverged)`` is the key ``(s << bits | t) << 1 | diverged``,
     so keys sort as the tuples do. ``succ`` holds the catenation NFA's cells,
@@ -188,14 +204,14 @@ def _dense_search(
     -1 for one not yet found and -2 for one that holds the spare state. Each
     step takes the next level as the set of new keys among the successors
     of its level, and keeps each new key it meets with the row of the node
-    it comes from, until a level holds a hit.
+    it comes from, until a level holds a hit. A pass down the kept keys
+    marks ``good`` the nodes with a path to a hit, and :func:`_search`,
+    admitting only good nodes at their own level, reads the witness.
 
-    The loop's groups go in word order, so its witness is the least word of
-    that level's length that reaches a hit, the least hit that word reaches,
-    and as each node's parent the least node one level down that the word's
-    prefix reaches and that steps to it. A pass down the kept keys marks the
-    nodes with a path to a hit; a pass up takes at each level the least
-    letter that keeps one of them in reach.
+    That witness is the full loop's: the first node to reach a good node in
+    the loop steps to it from one level down, so it is itself good. The
+    limited loop thus meets the good nodes in the same order, from the same
+    parents, and stops at the same first hit.
     """
     k = len(succ[0])
     spare, low, shift = len(succ), (1 << bits) - 1, bits + 1
@@ -209,7 +225,7 @@ def _dense_search(
     hit[:, :, 1] = np.logical_and.outer(flags, flags)
     hit = hit.ravel()  # diverged, and both accepting
 
-    def key(node: tuple[int, int, bool]) -> int:
+    def key(node: Node) -> int:
         return (node[0] << bits | node[1]) << 1 | node[2]
 
     level = np.full(2 << 2 * bits, -1, dtype=np.int32)
@@ -242,49 +258,20 @@ def _dense_search(
     good = hit
     for keys, (rows, new) in zip(levels[-2::-1], reversed(edges)):
         good[keys[rows[good.take(new)]]] = True
-    reached, word = [{start}], []
-    for i in range(1, len(levels)):
-        for sym in range(k):
-            ahead = (x for y in reached[-1] for x in _steps(succ, y, sym))
-            fresh = {x for x in ahead if good[key(x)] and level[key(x)] == i}
-            if fresh:
-                break
-        reached.append(fresh)
-        word.append(sym)
-    chain = [min(reached.pop())]
-    for sym in reversed(word):
-        chain.append(min(y for y in reached.pop() if chain[-1] in _steps(succ, y, sym)))
-    return chain[::-1], tuple(word)
+
+    def keep(node: Node, depth: int) -> bool:
+        return good[key(node)] and level[key(node)] == depth
+
+    return _search(succ, acc, bits, start, float("inf"), keep)
 
 
-def _steps(
-    succ: tuple[tuple[frozenset[int], ...], ...], node: tuple[int, int, bool], sym: int
-) -> set[tuple[int, int, bool]]:
-    """The self-product nodes that ``node`` steps to on ``sym``, read off the
-    NFA's cells, frozensets, in ``succ``."""
-    s, t, diverged = node
-    return {
-        (s2, t2, True) if s2 < t2 else (t2, s2, diverged or s2 != t2)
-        for s2 in succ[s][sym]
-        for t2 in succ[t][sym]
-    }
-
-
-def _witness(chain: list[tuple[int, int, bool]], word: Word, m: int) -> AmbiguityWitness:
+def _witness(chain: list[Node], word: Word, m: int) -> AmbiguityWitness:
     """The splits of the two runs along ``chain``, the path of ``word`` from
-    the start to a hit."""
-    first = _split_of([n[0] for n in chain], word, m)
-    second = _split_of([n[1] for n in chain], word, m)
-    split1, split2 = sorted((first, second), key=lambda sp: len(sp[0]))
-    return AmbiguityWitness(word, split1, split2)
-
-
-def _split_of(run: list[int], word: Word, m: int) -> tuple[Word, Word]:
-    """Factorization encoded by an accepting run. The catenation NFA has no
-    edge from the second automaton's states (m and up) back to the first's,
-    so the run's states below m are exactly its first ``len(prefix) + 1``."""
-    i = sum(q < m for q in run) - 1
-    return word[:i], word[i:]
+    the start to a hit, shorter prefix first. The catenation NFA has no edge
+    from the second automaton's states (m and up) back to the first's, so a
+    run's states below m are exactly its first ``len(prefix) + 1``."""
+    i, j = sorted(sum(node[run] < m for node in chain) - 1 for run in (0, 1))
+    return AmbiguityWitness(word, (word[:i], word[i:]), (word[:j], word[j:]))
 
 
 def orthogonal_catenation(a: Dfa, b: Dfa) -> CatDfa:

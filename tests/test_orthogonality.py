@@ -42,8 +42,9 @@ CYCLE_CORPUS_SEED = 0x0C1C_0006
 WIDE_PAIRS_SEED = 0x0D15_0036
 
 # handover thresholds for the search: the numpy route from the first level,
-# from the first level wider than the default, and never
-QUEUE_LIMITS = (0, _DENSE_MIN_QUEUE, 10**9)
+# after a few narrow levels, from the first level wider than the default,
+# and never
+QUEUE_LIMITS = (0, 4, _DENSE_MIN_QUEUE, 10**9)
 
 
 def _handover_above(limit):
@@ -397,7 +398,7 @@ class TestDenseRoute:
         for limit in QUEUE_LIMITS:
             with _handover_above(limit):
                 results.append([_witness_key(is_orthogonal(a, b).witness) for a, b in pairs])
-        assert results[0] == results[1] == results[2]
+        assert all(r == results[0] for r in results[1:])
 
     def test_same_witness_on_wider_pairs(self):
         # up to 30 states: levels of up to 101 nodes, up to 9 hits in the
@@ -436,6 +437,26 @@ class TestDenseRoute:
         assert expected[0] is None and expected[1] is not None
         assert [_witness_key(is_orthogonal(a, b).witness) for a, b in pairs] == expected
         assert len(calls) == (2 if m == 200 else 1)  # (a40, b40) stays narrow
+
+    def test_witness_read_admits_one_path(self, monkeypatch):
+        # the numpy route reads its witness with the loop limited to the
+        # nodes on shortest paths to a hit: here one node a level
+        search, admitted = orthocat.orthogonality._search, []
+
+        def spy(succ, acc, bits, start, narrow, keep=None):
+            def counted(node, depth):
+                admits = keep(node, depth)
+                if admits:
+                    admitted.append(node)
+                return admits
+
+            return search(succ, acc, bits, start, narrow, keep and counted)
+
+        monkeypatch.setattr(orthocat.orthogonality, "_search", spy)
+        with _handover_above(0):
+            witness = is_orthogonal(witness_b(200), witness_a(200)).witness
+        assert len(witness.word) == 397
+        assert 0 < len(admitted) <= len(witness.word) + 1
 
     def test_witness_does_not_depend_on_successor_order(self, monkeypatch):
         # the wide pairs of the pinned digest: the loop's first hits of a few
