@@ -25,15 +25,16 @@ from .core import (
     _state,
 )
 
-# Second-automaton subsets are bitmasks held in Python ints, which have no
-# fixed width: the cap is a plain size limit on the second automaton.
-MAX_SECOND_AUTOMATON_STATES = 62
-
 # The dense build indexes all m * 2**n keys of an (m, n) pair in one array;
 # it runs while that index and its step table (8 bytes a cell, (m + k) *
-# 2**n cells for k letters) stay within this many cells, 128 MB. The
-# orthogonality search's numpy route keeps to the same budget.
+# 2**n cells for k letters) stay within this many cells, 128 MB. The dict
+# loop and the orthogonality search's numpy route keep to the same budget.
 _DENSE_MAX_CELLS = 1 << 24
+
+
+def _dense_fits(m: int, k: int, n: int) -> bool:
+    """(m + k) << n <= _DENSE_MAX_CELLS, without forming 2**n for a huge n."""
+    return m + k <= _DENSE_MAX_CELLS >> n
 
 
 @dataclass(frozen=True)
@@ -132,27 +133,24 @@ def build_catenation_dfa(a: Dfa, b: Dfa) -> CatDfa:
     rule only spawns runs on moves and would otherwise lose ε·L(b).
 
     States are numbered breadth-first, symbols in alphabet order. A dict
-    loop builds the automaton; once more than ``_DENSE_MIN_QUEUE`` found
-    states wait in its queue, the build starts over on numpy tables indexed
-    by every possible label, if those fit ``_DENSE_MAX_CELLS``. Both give
-    the same automaton.
+    loop builds the automaton. If numpy tables indexed by every label fit
+    ``_DENSE_MAX_CELLS``, the build starts over on them, with the same
+    result, once the loop queues more than ``_DENSE_MIN_QUEUE`` found states
+    or passes its budget; if they do not fit, that budget raises ValueError.
     """
     _require_same_alphabet(a, b)
-    nb = b.state_count
-    if nb > MAX_SECOND_AUTOMATON_STATES:
-        raise ValueError(
-            f"second automaton has {nb} states; bitmask subsets support at most "
-            f"{MAX_SECOND_AUTOMATON_STATES}"
-        )
-    if (a.state_count + len(a.alphabet)) << nb > _DENSE_MAX_CELLS:
-        return _build_loop(a, b)
-    return _build_loop(a, b, _DENSE_MIN_QUEUE) or _build_dense(a, b)
+    if _dense_fits(a.state_count, len(a.alphabet), b.state_count):
+        return _build_loop(a, b, _DENSE_MIN_QUEUE) or _build_dense(a, b)
+    cat = _build_loop(a, b)
+    if cat is None:
+        raise ValueError(f"the catenation DFA would pass the limit of {_DENSE_MAX_CELLS} cells")
+    return cat
 
 
-def _build_loop(a: Dfa, b: Dfa, limit: int | None = None) -> CatDfa | None:
+def _build_loop(a: Dfa, b: Dfa, limit: float = float("inf")) -> CatDfa | None:
     """``build_catenation_dfa`` by a dict-indexed BFS over (q, mask) keys;
-    None as soon as more than ``limit`` found states wait in the queue, if
-    a limit is given."""
+    None as soon as more than ``limit`` found states wait in the queue, or
+    the loop passes its budget."""
     nb, k = b.state_count, len(a.alphabet)
     image = [[1 << b.delta[p][s] for p in range(nb)] for s in range(k)]
     # step[s][mask]: the b-states that mask moves to on s. A mask recurs
@@ -183,7 +181,9 @@ def _build_loop(a: Dfa, b: Dfa, limit: int | None = None) -> CatDfa | None:
                 keys.append(key)
             row.append(target)
         rows.append(tuple(row))
-        if limit is not None and len(keys) - len(rows) > limit:
+        # The budget: a found state takes about 330 bytes and 2 µs, so 2**18
+        # of them stay within the 128 MB that the dense tables may take.
+        if len(keys) - len(rows) > limit or len(keys) > _DENSE_MAX_CELLS >> 6:
             return None
     accepting = frozenset(i for i, (_, mask) in enumerate(keys) if mask & fb_mask)
     return CatDfa(Dfa._make(a.alphabet, tuple(rows), 0, accepting), tuple(keys))

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .catenation import (
     _DENSE_MAX_CELLS,
+    _dense_fits,
     build_catenation_dfa,
     build_catenation_nfa,
     orthogonal_upper_bound,
@@ -90,14 +91,12 @@ def cmd_verify(m: int, n: int) -> SweepRow:
     """Build the (m, n) witness pair, assert orthogonality with both the
     decision procedure and the bounded brute-force scan, and measure the
     minimal catenation size against the predicted bound. A pair is refused
-    before any work when the dense build's tables, ``(m + k) << n`` cells
-    for k letters, or the oracle's, ``(m + n) * k**8``, would pass
-    ``_DENSE_MAX_CELLS``: past it the build runs an unbounded loop."""
+    before any work when the dense build's tables or the oracle's, ``(m +
+    n) * k**8`` cells for k letters, would pass ``_DENSE_MAX_CELLS``."""
     if m < 3 or n < 3:
         raise ValueError("verify needs m >= 3 and n >= 3")
     k = len(_SIGMA)
-    # (m + k) << n > _DENSE_MAX_CELLS, without forming 2**n for a huge n
-    if m + k > _DENSE_MAX_CELLS >> n:
+    if not _dense_fits(m, k, n):
         raise ValueError(
             f"verify {m} {n}: the catenation table would pass the limit of {_DENSE_MAX_CELLS} cells"
         )

@@ -1,3 +1,6 @@
+import time
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,8 @@ from orthocat import (
     witness_a,
     witness_b,
 )
+import orthocat.catenation
+from orthocat.catenation import _build_dense, _build_loop
 
 
 def epsilon_dfa(alphabet=("a",)) -> Dfa:
@@ -61,6 +66,8 @@ class TestBounds:
             general_upper_bound(0, 3)
         with pytest.raises(ValueError):
             orthogonal_upper_bound(3, 1)
+        with pytest.raises(ValueError, match="m must be positive"):
+            orthogonal_upper_bound(0, 3)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 200), st.integers(2, 40))
@@ -82,10 +89,31 @@ class TestBuildCatenationDfa:
         with pytest.raises(ValueError, match="alphabet mismatch"):
             build_catenation_dfa(unary_star_dfa(2, "a"), unary_star_dfa(2, "b"))
 
-    def test_second_automaton_capped_at_bitmask_width(self):
-        assert build_catenation_dfa(unary_star_dfa(1), unary_star_dfa(62)).dfa.state_count
-        with pytest.raises(ValueError, match="at most 62"):
-            build_catenation_dfa(unary_star_dfa(1), unary_star_dfa(63))
+    @pytest.mark.parametrize("n", [62, 63, 200])
+    def test_second_automaton_wider_than_a_machine_word(self, n):
+        a, b = unary_star_dfa(1), unary_star_dfa(n)
+        cat = build_catenation_dfa(a, b)
+        assert cat.dfa.state_count == n  # the masks {0, ..., j} for j < n
+        assert minimize(cat.dfa) == minimize(determinize(build_catenation_nfa(a, b)))
+
+    def test_refuses_a_build_past_the_budget_fast(self):
+        # the dense tables of (3, 30) do not fit, and the loop would find
+        # 3 * 2**30 states at most
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"limit of {1 << 24} cells"):
+            build_catenation_dfa(witness_a(3), witness_b(30))
+        assert time.perf_counter() - t0 < 1
+
+    def test_loop_past_its_budget_hands_over_to_the_dense_build(self, monkeypatch):
+        # a 102-state path: one state a level, so the loop's queue stays short
+        a, b = single_word_dfa("a" * 100, ("a",)), unary_star_dfa(2)
+        loop = _build_loop(a, b)
+        # a 64-state budget for the loop; the dense tables, 412 cells, still fit
+        monkeypatch.setattr(orthocat.catenation, "_DENSE_MAX_CELLS", 1 << 12)
+        assert loop.dfa.state_count > 64 and _build_loop(a, b) is None
+        cat = build_catenation_dfa(a, b)
+        assert "_codes" in vars(cat)
+        assert cat == loop
 
     def test_rejects_key_count_unlike_state_count(self):
         cat = build_catenation_dfa(witness_a(3), witness_b(3))
@@ -146,6 +174,24 @@ class TestBuildCatenationDfa:
             if checked > 200:
                 break
         assert checked > 0
+
+
+class TestCatDfaValue:
+    def test_loop_and_dense_builds_are_equal_values(self):
+        a, b = witness_a(4), witness_b(5)
+        loop, dense = _build_loop(a, b), _build_dense(a, b)
+        assert "_codes" in vars(dense) and "_codes" not in vars(loop)
+        assert loop == dense
+        assert hash(loop) == hash(dense)
+        assert repr(loop) == repr(dense)
+        assert loop != loop.dfa and loop.dfa != loop
+
+    def test_frozen(self):
+        cat = build_catenation_dfa(witness_a(3), witness_b(3))
+        with pytest.raises(FrozenInstanceError):
+            cat.dfa = cat.dfa
+        with pytest.raises(FrozenInstanceError):
+            del cat.keys
 
 
 class TestBuildCatenationNfa:

@@ -270,6 +270,14 @@ class TestNfaBound:
         assert "nfa states: 5" in out
         assert "certified lower bound: 5" in out
 
+    def test_rejected_fooling_set_is_a_failed_check(self, monkeypatch, capsys):
+        # the one pair's word a is not in (a^2)*(b^3)*
+        monkeypatch.setattr("orthocat.cli.fooling_set_unary_catenation", lambda m, n: [((0,), ())])
+        assert main(["nfa-bound", "2", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "nfa states: 5" in out
+        assert "fooling set rejected: pair 0: x·y is not in the language" in out
+
     @pytest.mark.parametrize("m,n", [(175, 176), (10**9, 1)])
     def test_refuses_a_pair_past_the_limit_fast(self, capsys, m, n):
         t0 = time.perf_counter()

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import FrozenInstanceError
 from itertools import combinations, product
 
 import numpy as np
@@ -97,9 +98,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="distinct"):
             Dfa(("a", "a"), ((0, 0),), 0, frozenset())
 
+    def test_rejects_empty_alphabet(self):
+        with pytest.raises(ValueError, match="alphabet must not be empty"):
+            Dfa((), ((),), 0, ())
+
     def test_value_semantics(self):
         assert witness_a(3) == witness_a(3)
         assert hash(witness_a(4)) == hash(witness_a(4))
+
+    def test_frozen(self):
+        d = witness_a(3)
+        with pytest.raises(FrozenInstanceError, match="assign"):
+            d.start = 1
+        with pytest.raises(FrozenInstanceError, match="delete"):
+            del d.delta
+        assert d == witness_a(3)
 
 
 class TestAccepts:

@@ -101,6 +101,20 @@ class TestCountTables:
                 assert list(flags) == direct
 
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d: brute_force_orthogonal(d, d, -1),
+            lambda d: factorization_count_table(d, d, -1),
+            lambda d: acceptance_table(d, -1),
+        ],
+        ids=["brute_force_orthogonal", "factorization_count_table", "acceptance_table"],
+    )
+    def test_negative_length_is_refused(self, call):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            call(witness_a(3))
+
+
 class TestResidualCount:
     def test_unary_cycle(self):
         assert residual_count(unary_star_dfa(3)) == 3

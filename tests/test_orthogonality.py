@@ -72,6 +72,10 @@ class TestIsOrthogonal:
         assert w.split1 == ((), (0,))
         assert w.split2 == ((0,), ())
 
+    def test_verdict_is_truthy_iff_orthogonal(self):
+        assert is_orthogonal(witness_a(3), witness_b(3))
+        assert not is_orthogonal(witness_b(3), witness_a(3))
+
     def test_unary_stars_on_distinct_letters(self):
         a = extend_alphabet(unary_star_dfa(2, "a"), ("a", "b"))
         b = extend_alphabet(unary_star_dfa(3, "b"), ("a", "b"))

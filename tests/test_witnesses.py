@@ -150,6 +150,11 @@ class TestFoolingSets:
             ((a, a, b, b), ()),
         ]
 
+    @pytest.mark.parametrize("m,n", [(0, 1), (1, 0)])
+    def test_rejects_empty_factor(self, m, n):
+        with pytest.raises(ValueError, match="needs m, n >= 1"):
+            fooling_set_unary_catenation(m, n)
+
     def test_pairs_for_1_1(self):
         assert fooling_set_unary_catenation(1, 1) == [((), (0, 1)), ((0, 1), ())]
 
