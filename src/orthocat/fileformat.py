@@ -48,16 +48,16 @@ def parse_automaton(text: str) -> Dfa:
     Every text is read the same way. Non-ASCII line breaks become
     ``"\\x0c"``, other non-ASCII whitespace a space, and comments are cut,
     so every line keeps the number ``str.splitlines`` gives it. After the
-    four header lines the rest of the text is split once, one numpy pass
-    over its bytes checks that every line holds three tokens or none, the
-    state and target columns are read as integers straight from those
-    bytes, and the targets fill one ``states × |alphabet|`` table that the
-    automaton keeps as its read-only table. Only when a check fails (a
-    malformed line, an unknown symbol, a state out of range, a repeated or
-    missing pair) are the transition lines scanned one by one, to name the
-    first bad one. The table is allocated only once the transition count
-    equals ``states × |alphabet|``, so a huge declared state count
-    allocates nothing.
+    four header lines, numpy passes over the UTF-8 bytes of the rest check
+    that every line holds three tokens or none, read the state and target
+    columns as integers and match the symbol column against the names, for
+    any alphabet; no token becomes a string. The targets fill one
+    ``states × |alphabet|`` table that the automaton keeps as its read-only
+    table. Only when a check fails (a malformed line, an unknown symbol, a
+    state out of range, a repeated or missing pair) are the transition lines
+    scanned one by one, to name the first bad one. The table is allocated
+    only once the token count is ``3 × states × |alphabet|``, so a huge
+    declared state count allocates nothing.
     """
     lines, body = _split_header(_normalised(text))
     alphabet, state_count, start, accepting = _header(lines)
@@ -139,12 +139,8 @@ def _header(lines: list[tuple[int, list[str]]]) -> tuple[tuple[str, ...], int, i
 def _body_table(body: str, alphabet: tuple[str, ...], state_count: int) -> np.ndarray | None:
     """The transition table of the text after the header, or None when a
     line holds other than three tokens or none, or a column check fails."""
-    symbols = body.split()
-    if len(symbols) != 3 * state_count * len(alphabet):
-        return None
-    symbols = symbols[1::3]  # states and targets are read from the bytes; their strings go
-    # one byte a character: the whitespace is ASCII, any other character a "?"
-    data = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
+    # whitespace is ASCII; every other character, a lone surrogate too, encodes past 127
+    data = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     kind = _WHITESPACE.take(data)
     space, line_break = kind != 0, kind == 2
     first = ~space  # the first byte of each token
@@ -155,56 +151,70 @@ def _body_table(body: str, alphabet: tuple[str, ...], state_count: int) -> np.nd
     events = np.flatnonzero(first | line_break)
     is_break = line_break[events]
     breaks = np.flatnonzero(is_break)
+    if len(events) - len(breaks) != 3 * state_count * len(alphabet):
+        return None
     per_line = np.diff(breaks, prepend=-1, append=len(events)) - 1
     if not ((per_line == 0) | (per_line == 3)).all():
         return None
     starts = events[~is_break]
     lengths = np.flatnonzero(last) + 1 - starts
     qs = _digits(data, starts[0::3], lengths[0::3])
+    ss = _symbols(data, starts[1::3], lengths[1::3], alphabet)
     ts = _digits(data, starts[2::3], lengths[2::3])
-    if qs is None or ts is None or qs.max() >= state_count or ts.max() >= state_count:
+    if qs is None or ss is None or ts is None or max(qs.max(), ts.max()) >= state_count:
         return None
-    return _table(qs, symbols, ts, alphabet, state_count)
+    return _table(qs, ss, ts, state_count, len(alphabet))
 
 
 def _digits(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
     """The tokens of ``data`` at ``starts`` as int64, or None unless each is
     ASCII digits, all but the last 18 of them zeros, so that none overflows.
-    A longer token's start and length move to its last 18 bytes, in place."""
+    Each is read from its last byte back, at most 18 digits."""
+    ends = starts + lengths - 1
     long = np.flatnonzero(lengths > 18)
     if len(long):
-        cut = starts[long] + lengths[long] - 18
-        spans = np.column_stack([starts[long], cut]).ravel()  # [start, cut) of each
+        spans = np.column_stack([starts[long], ends[long] - 17]).ravel()  # [start, cut) of each
         if np.add.reduceat(data != 48, spans)[0::2].any():  # bool add: any byte not "0"
             return None
-        starts[long], lengths[long] = cut, 18
-    longest = int(lengths.max())
+        lengths = np.minimum(lengths, 18)
     values = np.zeros(len(starts), dtype=np.int64)
-    for j in range(longest):  # one digit of every token a step
-        live = lengths > j
-        digit = data[np.where(live, starts + j, starts)] - 48  # uint8: below "0" wraps past 9
-        if (live & (digit > 9)).any():
+    for j in range(int(lengths.max())):  # one digit of every token a step
+        # a short token's index may fall before the text: "clip" reads byte 0, masked next
+        digit = data.take(ends - j, mode="clip") - 48  # uint8: below "0" wraps past 9
+        digit[lengths <= j] = 0
+        if (digit > 9).any():
             return None
-        values = np.where(live, values * 10 + digit, values)
+        values += digit * np.int64(10**j)
     return values
 
 
-def _table(
-    qs: np.ndarray, symbols: list[str], ts: np.ndarray, alphabet: tuple[str, ...], state_count: int
+def _symbols(
+    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, alphabet: tuple[str, ...]
 ) -> np.ndarray | None:
-    """The ``states × |alphabet|`` table of the state, symbol and target
-    columns, states in range, or None when a symbol is unknown or a (state,
-    symbol) pair repeats (so, the count being right, one is missing)."""
-    k = len(alphabet)
-    index = {name: i for i, name in enumerate(alphabet)}
-    try:  # an unknown symbol maps to None, which int64 refuses
-        ss = np.array(list(map(index.get, symbols)), dtype=np.int64)
-    except TypeError:
-        return None
+    """The alphabet index of each token at ``starts``, or None when one is
+    no name. Tokens are matched as rows of their UTF-8 bytes against the
+    names of their byte length, so the rows are no larger than the tokens."""
+    names = [name.encode("utf-8") for name in alphabet]
+    ss = np.full(len(starts), -1)
+    for size in set(map(len, names)):
+        index = np.array([s for s, name in enumerate(names) if len(name) == size])
+        keys = np.array([names[s] for s in index], dtype=f"S{size}")
+        order = np.argsort(keys)
+        at = np.flatnonzero(lengths == size)
+        rows = data.take(starts[at, None] + np.arange(size)).view(f"S{size}").ravel()
+        found = order[np.searchsorted(keys, rows, sorter=order).clip(max=len(keys) - 1)]
+        hit = keys[found] == rows
+        ss[at[hit]] = index[found[hit]]
+    return None if (ss < 0).any() else ss
+
+
+def _table(qs: np.ndarray, ss: np.ndarray, ts: np.ndarray, n: int, k: int) -> np.ndarray | None:
+    """The ``n × k`` table of the three columns, or None when a (state, symbol)
+    pair repeats (so, the count being right, one is missing)."""
     cells = qs * k + ss
-    if np.bincount(cells, minlength=state_count * k).max() > 1:
+    if np.bincount(cells, minlength=n * k).max() > 1:
         return None
-    table = np.empty((state_count, k), dtype=np.int64)
+    table = np.empty((n, k), dtype=np.int64)
     np.put(table, cells, ts)
     return table
 

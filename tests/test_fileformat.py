@@ -188,6 +188,21 @@ class TestHostileSizes:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_long_name_allocates_by_the_text(self):
+        # one 10,000-byte name among 3,999 one-byte symbol tokens: rows as
+        # wide as the longest name would take 320 MB of byte indices
+        long = "x" * 10_000
+        lines = ["alphabet a " + long, "states 2000", "start 0", "accepting", "0 a 0", f"0 {long} 0"]
+        lines += [f"{q} a {t}" for q in range(1, 2000) for t in (0, 1)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"^line 8: duplicate transition for \(1, a\)$"):
+                parse_automaton("\n".join(lines) + "\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
 
 class TestComments:
     def test_comments_and_blanks_ignored(self):
@@ -466,6 +481,24 @@ def _ascii_file(draws) -> str:
     return text if next(draws) % 5 else text.rstrip("".join(_ASCII_BREAKS))
 
 
+# (id, alphabet, and None for the valid file, else the token put in place
+# of a symbol): every alphabet goes the one bulk route
+_SYMBOL_CASES = [
+    ("multi-byte", ("\xe9", "\u6f22\u5b57", "\U0001f600"), None),
+    ("prefix-sharing", ("a", "ab", "abc"), None),
+    ("digit-like", ("0", "007"), None),
+    ("multi-byte-prefix", ("\u6f22", "\u6f22\u5b57"), None),
+    ("unknown-multi-byte", ("\xe9", "\u6f22\u5b57", "\U0001f600"), "\u6f22"),
+    ("prefix-of-every-name", ("ab", "abc"), "a"),
+    ("longer-than-every-name", ("a", "ab", "abc"), "abcd"),
+    ("digit-like-near-miss", ("0", "007"), "07"),
+    # zero-padded to the width of "bc", "a\x00" would read as "a"
+    ("nul-padded", ("a", "bc"), "a\x00"),
+    ("lone-surrogate", ("\xe9", "\u6f22\u5b57", "\U0001f600"), "\ud83d"),
+    ("surrogate-pair", ("\xe9", "\u6f22\u5b57", "\U0001f600"), "\ud83d\ude00"),
+]
+
+
 class TestBulkRoute:
     """Every text is parsed in bulk; its transition lines are scanned one by
     one only after a bulk check fails, to name the first error. A file and
@@ -498,6 +531,25 @@ class TestBulkRoute:
             with pytest.raises(FormatError) as info:
                 parse_automaton(text)
             assert expect in str(info.value)
+
+    @pytest.mark.parametrize(
+        "names,token", [case[1:] for case in _SYMBOL_CASES], ids=[c[0] for c in _SYMBOL_CASES]
+    )
+    def test_symbol_column(self, line_wise, names, token):
+        d = random_dfa(3, len(names), 0.5, 7)
+        d = Dfa(names, d.delta, 0, d.accepting)
+        lines = serialize_automaton(d).splitlines()
+        if token is not None:  # in place of line 8's symbol
+            q, _, t = lines[7].split(" ")
+            lines[7] = f"{q} {token} {t}"
+        text = "\n".join(lines) + "\n"
+        outcome = _outcome(text)
+        assert outcome == _outcome(text + "# x\n")
+        assert (line_wise == []) == (token is None)
+        if token is None:
+            assert parse_automaton(text) == d
+        else:
+            assert outcome == f"FormatError({f'line 8: unknown symbol {token!r}'!r}, 8)"
 
     @pytest.mark.parametrize("token", ["1:", "0;", "2@", "4a"])
     def test_non_digit_that_would_read_as_a_state(self, token):
@@ -544,3 +596,47 @@ class TestBulkRoute:
         text = serialize_automaton(d)
         for variant in (text, "# a comment\n" + text, text.replace(" ", "\xa0")):
             assert parse_automaton(variant) == d
+
+
+# Names that share prefixes, take two to four UTF-8 bytes a character, or
+# read as state numbers
+_NAME_POOL = ["a", "ab", "abc", "b", "\xe9", "\xe9a", "\u6f22", "\u6f22\u5b57", "\U0001f600", "0", "00", "007", "7", "->"]
+
+
+@st.composite
+def named_dfas(draw) -> Dfa:
+    names = tuple(draw(st.lists(st.sampled_from(_NAME_POOL), min_size=1, max_size=5, unique=True)))
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, n - 1), min_size=len(names), max_size=len(names))
+    delta = draw(st.lists(row, min_size=n, max_size=n))
+    return Dfa(names, delta, draw(st.integers(0, n - 1)), draw(st.frozensets(st.integers(0, n - 1))))
+
+
+def _parsed_line_by_line(text: str) -> Dfa:
+    """A valid file read with ``str`` methods and a dict alone."""
+    lines = [tokens for line in text.splitlines() if (tokens := line.split("#")[0].split())]
+    (_, *alphabet), (_, states), (_, start), (_, *accepting), *body = lines
+    index = {name: s for s, name in enumerate(alphabet)}
+    delta = [[0] * len(alphabet) for _ in range(int(states))]
+    for q, name, target in body:
+        delta[int(q)][index[name]] = int(target)
+    return Dfa(tuple(alphabet), delta, int(start), frozenset(map(int, accepting)))
+
+
+class TestSymbolDifferential:
+    """The bulk parse against a line-by-line reading that shares no code
+    with it, on names of every kind and any spacing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(named_dfas(), st.integers(0, 2**64 - 1))
+    def test_respaced_files(self, d, seed):
+        text = serialize_automaton(d)
+        assert parse_automaton(text) == d
+        draws = splitmix64_stream(seed)
+        lines = [line.split(" ") for line in text.splitlines()]
+        header, body = lines[:4], lines[4:]
+        for i in range(len(body) - 1, 0, -1):  # any order of transition lines
+            j = next(draws) % (i + 1)
+            body[i], body[j] = body[j], body[i]
+        respaced = _respaced(draws, header + body)
+        assert parse_automaton(respaced) == _parsed_line_by_line(respaced) == d
