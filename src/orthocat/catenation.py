@@ -206,13 +206,13 @@ def _build_dense(a: Dfa, b: Dfa) -> CatDfa:
     step = np.zeros((1 << nb, len(a.alphabet)), dtype=np.int64)
     for p, row in enumerate(b._table):
         step[1 << p : 2 << p] = step[: 1 << p] | 1 << row
-    # spawn[q]: the bit a move into q adds, b's start state iff q accepts
+    # spawn[q]: the bit a move into q adds, b's start state iff q accepts;
+    # moves[q, s]: the key bits of the move from q on s, its target and spawn
     spawn = np.where(a._flags, 1 << b.start, 0)
-    a_table, low = a._table, (1 << nb) - 1
+    moves, low = a._table << nb | spawn[a._table], (1 << nb) - 1
 
     def successors(keys: np.ndarray) -> np.ndarray:
-        targets = a_table[keys >> nb]
-        return targets << nb | step[keys & low] | spawn[targets]
+        return moves[keys >> nb] | step[keys & low]
 
     start = a.start << nb | int(spawn[a.start])
     keys, rows = _bfs_levels(start, a.state_count << nb, successors)

@@ -437,8 +437,8 @@ def _count_rank(values: np.ndarray, span: int) -> int:
 
 def _sort_rank(values: np.ndarray, span: int) -> int:
     """``_rank`` by one in-place sort of ``value << shift | position``; or,
-    when the range leaves no room for the positions (Moore meets that only
-    above 2**21 states), by an argsort."""
+    when the range leaves no room for the positions (Moore's packed ranges
+    may reach 2**63), by an argsort."""
     n = len(values)
     if span <= _max_span(n):
         shift = (n - 1).bit_length()
@@ -482,27 +482,26 @@ def _moore_vector(table: np.ndarray, flags: np.ndarray) -> np.ndarray:
     Each round ranks the signature (accepting bit, block of each successor).
     Over the blocks of the previous Moore level this splits the states as
     (own block, block of each successor) would, so the rounds and the
-    stopping test are Moore's. The columns are packed into one int64 as
-    ``value * n_blocks + next`` while the packed range stays within
-    ``_max_span``, and ``_rank`` ranks the packed values when the next
-    column would not fit and at the end of the round: by counting while the
-    range is at most twice the state count (early rounds, and deep, narrow
-    automata), else by one sort.
+    stopping test are Moore's, but a partition of single states needs no
+    round to confirm it. The columns are packed into one int64 as ``value *
+    n_blocks + next`` while the packed range stays within 2**63, and
+    ``_rank`` ranks the packed values when the next column would not fit and
+    at the end of the round: by counting while the range is at most twice
+    the state count (early rounds, and deep, narrow automata), else by sorting.
     """
     columns = np.ascontiguousarray(table.T)
     n = len(flags)
-    limit = _max_span(n)
     cur = flags.astype(np.int64)
     n_blocks = _rank(cur, 2)
     # block ids are below n: a narrow copy halves the memory each gather reads
     block = np.empty(n, dtype=np.int32 if n <= 1 << 31 else np.int64)
     successor = np.empty_like(block)
-    while True:
+    while n_blocks < n:
         block[:] = cur
         cur[:] = flags
         span = 2  # the values of cur lie in 0..span-1
         for column in columns:
-            if span * n_blocks > limit:
+            if span * n_blocks > 1 << 63:
                 span = _rank(cur, span)
             cur *= n_blocks
             # ids are in range: "clip" skips the copy the default mode makes for out=
@@ -510,8 +509,9 @@ def _moore_vector(table: np.ndarray, flags: np.ndarray) -> np.ndarray:
             span *= n_blocks
         count = _rank(cur, span)
         if count == n_blocks:
-            return cur
+            break
         n_blocks = count
+    return cur
 
 
 def _bfs_levels(
@@ -597,7 +597,7 @@ def _minimize_loop(d: Dfa) -> Dfa:
 
 def _minimize_table(d: Dfa) -> Dfa:
     """``minimize`` in numpy: Moore refinement, then the quotient by its
-    blocks, renumbered by ``_bfs_levels``.
+    blocks, renumbered by ``_bfs_levels`` unless it is breadth-first already.
 
     An automaton with a congruence (see ``Dfa``) is first replaced by its
     quotient by it, which has fewer states. A class holds only equivalent
@@ -612,8 +612,10 @@ def _minimize_table(d: Dfa) -> Dfa:
         table, flags, start = _quotient(table, flags, start, classes)
         del classes  # not needed through Moore
     table, flags, start = _quotient(table, flags, start, _moore_vector(table, flags))
-    bfs, rows = _bfs_levels(start, len(table), table.__getitem__)
-    return Dfa._make(d.alphabet, rows, 0, flags[bfs])
+    if not _is_breadth_first(table, start):
+        bfs, table = _bfs_levels(start, len(table), table.__getitem__)
+        flags = flags[bfs]
+    return Dfa._make(d.alphabet, table, 0, flags)
 
 
 def _quotient(
@@ -621,11 +623,28 @@ def _quotient(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The table, accepting flags and start of the automaton whose states
     are the ``classes`` of a congruence that respects acceptance, given as
-    one id per state, every id in ``0..max`` used; any member stands for
-    its class."""
-    rep = np.empty(int(classes.max()) + 1, dtype=np.int64)
-    rep[classes] = np.arange(len(classes))
-    return classes[table[rep]], flags[rep], int(classes[start])
+    one int64 id per state, every id in ``0..max`` used. ``classes`` is
+    renumbered in place by first members, in state order, and each first
+    member stands for its class; a class's shortest-lex access word is the
+    least of its members', so the quotient of a breadth-first automaton is
+    breadth-first."""
+    first = np.full(int(classes.max()) + 1, len(classes), dtype=np.int64)
+    np.minimum.at(first, classes, np.arange(len(classes)))
+    first.sort()
+    ids = np.empty_like(first)
+    ids[classes[first]] = np.arange(len(first))
+    ids.take(classes, out=classes, mode="clip")  # reads each index before writing its place
+    return classes[table[first]], flags[first], int(classes[start])
+
+
+def _is_breadth_first(table: np.ndarray, start: int) -> bool:
+    """Whether ``_bfs_levels`` from ``start`` keeps every state and its
+    number: the start is 0 and, along the rows in order, each new state is
+    one above the highest before it and first occurs in a row before its own."""
+    top = np.maximum.accumulate(table.ravel())
+    row_tops = top[table.shape[1] - 1 :: table.shape[1]][:-1]
+    steps = start == 0 and top[0] <= 1 and (np.diff(top) <= 1).all()
+    return bool(steps and (row_tops > np.arange(len(row_tops))).all())
 
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:

@@ -26,11 +26,14 @@ from orthocat import (
 from orthocat.catenation import _build_dense, _build_loop, build_catenation_dfa
 from orthocat.cli import cmd_verify
 from orthocat.core import (
+    _bfs_levels,
     _count_rank,
+    _is_breadth_first,
     _max_span,
     _minimize_loop,
     _minimize_table,
     _moore_loop,
+    _moore_vector,
     _rank,
     _sort_rank,
 )
@@ -161,6 +164,83 @@ class TestCongruenceQuotient:
                 assert serialize_automaton(_minimize_table(mutant)) != expected
 
 
+def renamed(d: Dfa, perm: np.ndarray) -> Dfa:
+    """``d`` with each state q renamed ``perm[q]``."""
+    table = np.empty_like(d._table)
+    table[perm] = perm[d._table]
+    return Dfa(d.alphabet, table, int(perm[d.start]), perm[np.flatnonzero(d._flags)])
+
+
+def with_unreachable_states(d: Dfa, extra: int, seed: int) -> Dfa:
+    """``d`` plus ``extra`` states that nothing reaches, stepping anywhere."""
+    n, k = d.state_count, len(d.alphabet)
+    draws = splitmix64_stream(seed)
+    rows = [[next(draws) % (n + extra) for _ in range(k)] for _ in range(extra)]
+    return Dfa(d.alphabet, np.vstack([d._table, rows]), d.start, np.flatnonzero(d._flags))
+
+
+@st.composite
+def tables_and_starts(draw) -> tuple[np.ndarray, int]:
+    """A random table and start; half of them renumbered breadth-first, and
+    half of those with two states swapped after."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))
+    table, start = np.array(cells, dtype=np.int64).reshape(n, k), draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        ids, table = _bfs_levels(start, n, table.__getitem__)
+        start, n = 0, len(ids)
+        if draw(st.booleans()):
+            perm = np.arange(n)
+            swap = [draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))]
+            perm[swap] = perm[swap[::-1]]
+            swapped = np.empty_like(table)
+            swapped[perm] = perm[table]
+            table, start = swapped, int(perm[0])
+    return table, start
+
+
+class TestBreadthFirstSkip:
+    """``_minimize_table`` skips ``_bfs_levels`` on a quotient that is
+    breadth-first already; skipped or not, it must equal the dict loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tables_and_starts())
+    @example((np.array([[0], [1]]), 0))  # state 1 occurs only in its own row
+    @example((np.array([[1, 0], [1, 1]]), 0))
+    @example((np.array([[1, 0], [1, 1]]), 1))
+    @example((np.array([[2], [0], [1]]), 0))  # state 2 occurs before state 1
+    def test_check_holds_iff_bfs_is_the_identity(self, table_start):
+        table, start = table_start
+        ids, rows = _bfs_levels(start, len(table), table.__getitem__)
+        identity = np.array_equal(ids, np.arange(len(table))) and np.array_equal(rows, table)
+        assert _is_breadth_first(table, start) is identity
+
+    def test_skip_and_fallback_match_the_loop(self, monkeypatch):
+        renumbered = []
+        bfs_levels = _bfs_levels
+        spy = lambda *args: renumbered.append(args) or bfs_levels(*args)
+        monkeypatch.setattr(orthocat.core, "_bfs_levels", spy)
+        draws = splitmix64_stream(0x7AB1_0006)
+        fallbacks = 0
+        for a, b in dfa_pairs(0x7AB1_0007, 150, max_m=5, max_n=6):
+            built = _build_dense(a, b).dfa  # breadth-first, often with a congruence
+            free = hint_free(built)
+            small = _minimize_loop(free)
+            minimal = Dfa(small.alphabet, np.array(small.delta), 0, small.accepting)
+            n = free.state_count
+            perm = np.array(sorted(range(n), key=lambda q: next(draws)), dtype=np.int64)
+            restarted = Dfa(free.alphabet, free._table, next(draws) % n, free.accepting)
+            unreachable = with_unreachable_states(free, 1 + next(draws) % 3, next(draws))
+            for d in (built, free, minimal, renamed(free, perm), restarted, unreachable):
+                renumbered.clear()
+                expected = serialize_automaton(_minimize_loop(d))
+                assert serialize_automaton(_minimize_table(d)) == expected
+                # a breadth-first automaton has a breadth-first quotient
+                assert not (renumbered and d in (built, free, minimal))
+                fallbacks += bool(renumbered)
+        assert 100 < fallbacks < 450
+
+
 def moore_rounds(d: Dfa) -> int:
     """Rounds of Moore refinement up to and including the stable one."""
     block = [q in d.accepting for q in range(d.state_count)]
@@ -176,18 +256,51 @@ def moore_rounds(d: Dfa) -> int:
         rounds, n_blocks = rounds + 1, len(sigs)
 
 
+def doubled(d: Dfa) -> Dfa:
+    """Two disjoint copies of ``d``: every state has an equivalent twin, so
+    Moore never ends on a partition of single states."""
+    n, table = d.state_count, d._table
+    flags = np.concatenate([d._flags, d._flags])
+    return Dfa(d.alphabet, np.vstack([table, table + n]), d.start, np.flatnonzero(flags))
+
+
+def vector_rounds(monkeypatch, table: np.ndarray, flags: np.ndarray) -> int:
+    """The rounds ``_moore_vector`` takes, read off its ``_rank`` calls by
+    replaying its packing: within a round, a call ranks the packed values
+    whenever the next column would take their range past 2**63."""
+    calls = []
+
+    def spy(values, span):
+        calls.append((span, _rank(values, span)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(orthocat.core, "_rank", spy)
+    _moore_vector(table, flags)
+    monkeypatch.undo()
+    rounds, n_blocks, i = 0, calls[0][1], 1
+    while i < len(calls):
+        rounds, span = rounds + 1, 2
+        for _ in range(table.shape[1]):
+            if span * n_blocks > 2**63:
+                assert calls[i][0] == span
+                span, i = calls[i][1], i + 1
+            span *= n_blocks
+        assert calls[i][0] == span
+        n_blocks, i = calls[i][1], i + 1
+    return rounds
+
+
 class TestPackedMoore:
-    """Every value ``_moore_vector`` ranks, packed as a sort key beside a
-    state index, stays below 2**63, and a round takes one ``_rank`` call
-    unless its columns do not fit one packed range."""
+    """Every value ``_moore_vector`` ranks lies below its span, and no span
+    passes 2**63; a round takes one ``_rank`` call unless its columns do not
+    fit one int64, and a partition that ends discrete takes no confirming
+    round."""
 
     def rank_calls(self, monkeypatch, d: Dfa) -> int:
         calls = []
 
         def checked(values, span):
-            n = len(values)
-            assert 0 <= values.min() and values.max() < span
-            assert (span - 1) << (n - 1).bit_length() | (n - 1) < 2**63
+            assert 0 <= values.min() and values.max() < span <= 2**63
             calls.append(span)
             return _rank(values, span)
 
@@ -198,20 +311,40 @@ class TestPackedMoore:
         return len(calls)
 
     def test_all_columns_in_one_call(self, monkeypatch):
-        # 2 * 300**4 fits 2**54: the first call, then one a round
+        # 2 * 600**4 fits an int64: the first call, then one a round, and
+        # none to confirm a partition of single states
         draws = splitmix64_stream(0x7AB1_0002)
         for _ in range(20):
             d = random_dfa(300, 4, 0.5, next(draws))
-            assert 2 * len(set(_moore_loop(d))) ** 4 <= _max_span(300) == 2**54
-            assert self.rank_calls(monkeypatch, d) == 1 + moore_rounds(d)
+            assert len(set(_moore_loop(d))) == 300
+            assert self.rank_calls(monkeypatch, d) == moore_rounds(d)
+            twins = doubled(d)
+            assert 2 * len(set(_moore_loop(twins))) ** 4 <= 2**63
+            assert self.rank_calls(monkeypatch, twins) == 1 + moore_rounds(twins)
 
     def test_columns_over_several_calls(self, monkeypatch):
-        # eight columns of about 300 blocks each need two calls a round
+        # eight columns of 300 blocks each do not fit one int64
         draws = splitmix64_stream(0x7AB1_0003)
         for _ in range(20):
             d = random_dfa(300, 8, 0.5, next(draws))
-            assert 2 * len(set(_moore_loop(d))) ** 8 > _max_span(300)
-            assert self.rank_calls(monkeypatch, d) > 1 + moore_rounds(d)
+            assert 2 * len(set(_moore_loop(d))) ** 8 > 2**63
+            assert self.rank_calls(monkeypatch, d) > moore_rounds(d)
+
+    def test_rounds_at_scale(self, monkeypatch):
+        # (12,14): the congruence quotient is already minimal, so Moore ends
+        # on single states, 12 rounds where a confirming round made 13
+        given = []
+        moore = _moore_vector
+        monkeypatch.setattr(orthocat.core, "_moore_vector", lambda *a: given.append(a) or moore(*a))
+        d = build_catenation_dfa(witness_a(12), witness_b(14)).dfa
+        assert minimize(d).state_count == orthogonal_upper_bound(12, 14) == len(given[0][0])
+        monkeypatch.undo()
+        assert vector_rounds(monkeypatch, *given[0]) == 12
+        # the whole (10,12) catenation DFA is not minimal: it keeps the round
+        # that confirms its partition, as the dict loop does
+        d = hint_free(build_catenation_dfa(witness_a(10), witness_b(12)).dfa)
+        assert len(set(vector_blocks(d))) == orthogonal_upper_bound(10, 12) < d.state_count
+        assert vector_rounds(monkeypatch, d._table, d._flags) == moore_rounds(d) == 11
 
 
 def ranked(values, span: int, rank) -> tuple[list[int], int]:
@@ -324,11 +457,12 @@ class TestDfaForms:
 
         record(orthocat.fileformat, "_table")  # both parse routes make the table there
         record(orthocat.catenation, "_bfs_levels")
-        record(orthocat.core, "_bfs_levels")
+        record(orthocat.core, "_quotient")  # a breadth-first quotient is kept as made
         parsed = parse_automaton(serialize_automaton(witness_b(4)))
         built = build_catenation_dfa(witness_a(6), witness_b(8)).dfa
         small = minimize(built)
-        given = made[0], made[1][1], made[2][1]  # _bfs_levels returns (ids, table)
+        # _bfs_levels returns (ids, table), _quotient (table, flags, start)
+        given = made[0], made[1][1], made[-1][0]
         # handed over, not copied: the very array, made read-only
         for d, array in zip((parsed, built, small), given, strict=True):
             assert "delta" not in vars(d) and d._table is array and not array.flags.writeable
