@@ -475,19 +475,33 @@ def _moore_loop(d: Dfa) -> list[int]:
         n_blocks = len(sigs)
 
 
-def _moore_vector(table: np.ndarray, flags: np.ndarray) -> np.ndarray:
+def _moore_vector(table: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, int]:
     """Moore refinement in numpy, over all states of the automaton with
-    transition table ``table`` and accepting flags ``flags``.
+    transition table ``table`` and accepting flags ``flags``. Returns one
+    block id per state, the ids ``0..count-1`` all used, and the number of
+    rounds taken.
 
-    Each round ranks the signature (accepting bit, block of each successor).
-    Over the blocks of the previous Moore level this splits the states as
-    (own block, block of each successor) would, so the rounds and the
-    stopping test are Moore's, but a partition of single states needs no
-    round to confirm it. The columns are packed into one int64 as ``value *
-    n_blocks + next`` while the packed range stays within 2**63, and
-    ``_rank`` ranks the packed values when the next column would not fit and
-    at the end of the round: by counting while the range is at most twice
-    the state count (early rounds, and deep, narrow automata), else by sorting.
+    The rounds run in three phases:
+
+    - Exact while counting is cheap, that is while ``n_blocks ** k <= n``
+      (k letters, n states): a round ranks the signature (accepting bit,
+      block of each successor), whose packed range stays within twice the
+      state count, so ``_rank`` counts it. Over the blocks of the previous
+      Moore level this splits the states as (own block, block of each
+      successor) would.
+    - Hashed: a round gives each state ``_signature_hash`` of its own value
+      and its successors' values, and counts the distinct values with one
+      sort. Equivalent states always hash alike, so a hashed partition is
+      never finer than the minimal one; one of single states is therefore
+      exact, and final.
+    - Confirming: when the count stops growing short of the state count (a
+      collision, or a stable partition), the hashes are ranked and exact
+      rounds by (own block, block of each successor) refine them until they
+      are stable. Those hashes keep acceptance apart and merge no
+      inequivalent states, so the rounds end on the minimal partition
+      whatever the hash.
+
+    A partition of single states needs no round to confirm it.
     """
     columns = np.ascontiguousarray(table.T)
     n = len(flags)
@@ -496,22 +510,91 @@ def _moore_vector(table: np.ndarray, flags: np.ndarray) -> np.ndarray:
     # block ids are below n: a narrow copy halves the memory each gather reads
     block = np.empty(n, dtype=np.int32 if n <= 1 << 31 else np.int64)
     successor = np.empty_like(block)
-    while n_blocks < n:
+    rounds = 0
+    while n_blocks < n and n_blocks ** len(columns) <= n:
+        rounds += 1
         block[:] = cur
         cur[:] = flags
-        span = 2  # the values of cur lie in 0..span-1
-        for column in columns:
-            if span * n_blocks > 1 << 63:
-                span = _rank(cur, span)
-            cur *= n_blocks
-            # ids are in range: "clip" skips the copy the default mode makes for out=
-            cur += block.take(column, out=successor, mode="clip")
-            span *= n_blocks
-        count = _rank(cur, span)
+        count = _exact_round(cur, 2, n_blocks, block, columns, successor)
+        if count == n_blocks:
+            return cur, rounds
+        n_blocks = count
+    while n_blocks < n:
+        rounds += 1
+        # below 2**63, so int64 keeps the hashes and their order
+        cur = _signature_hash(cur.view(np.uint64), columns, flags).view(np.int64)
+        ordered = np.sort(cur)
+        count = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        del ordered  # before the next round's sort
+        if count == n:
+            return np.arange(n), rounds
+        if count <= n_blocks:  # stable, or a collision: confirm exactly
+            n_blocks = _rank(cur, 1 << 63)
+            break
+        n_blocks = count
+    while n_blocks < n:
+        rounds += 1
+        block[:] = cur
+        count = _exact_round(cur, n_blocks, n_blocks, block, columns, successor)
         if count == n_blocks:
             break
         n_blocks = count
-    return cur
+    return cur, rounds
+
+
+def _exact_round(
+    cur: np.ndarray,
+    span: int,
+    n_blocks: int,
+    block: np.ndarray,
+    columns: np.ndarray,
+    successor: np.ndarray,
+) -> int:
+    """Rank, in place, each value of ``cur`` (in ``0..span-1``) followed by
+    the ``block`` id (in ``0..n_blocks-1``) of each successor along
+    ``columns``; return how many are distinct. The columns are packed as
+    ``value * n_blocks + next``, ranked whenever the next one would take the
+    range past 2**63; ``successor`` is scratch space shaped like ``block``."""
+    for column in columns:
+        if span * n_blocks > 1 << 63:
+            span = _rank(cur, span)
+        cur *= n_blocks
+        # ids are in range: "clip" skips the copy the default mode makes for out=
+        cur += block.take(column, out=successor, mode="clip")
+        span *= n_blocks
+    return _rank(cur, span)
+
+
+# splitmix64's constants (see ``randgen``): the odd step multiplier folds in
+# one value a multiplication, and the (shift, odd multiplier) pairs finish
+# each hash. numpy scalars, not Python ints, so that no numpy version casts
+# the arrays to float or object; uint64 array arithmetic wraps without a warning.
+_HASH_STEP = np.uint64(0x9E3779B97F4A7C15)
+_HASH_MIX = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+)
+
+
+def _signature_hash(values: np.ndarray, columns: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each state's signature: its own entry of ``values``
+    (uint64), then its successors' entries along ``columns`` in order. Each
+    hash is below 2**63, and its low bit is the state's accepting flag, so
+    no two states with different flags ever hash alike."""
+    out = values * _HASH_STEP
+    step = np.empty_like(values)
+    for column in columns:
+        out ^= values.take(column, out=step, mode="clip")
+        out *= _HASH_STEP
+    # splitmix64's finalizer, which spreads every bit over the high ones
+    for shift, mix in _HASH_MIX:
+        np.right_shift(out, shift, out=step)
+        out ^= step
+        out *= mix
+    out >>= np.uint64(2)
+    out <<= np.uint64(1)
+    out |= flags
+    return out
 
 
 def _bfs_levels(
@@ -550,7 +633,7 @@ def state_equivalent(d: Dfa, q1: int, q2: int) -> bool:
     """True iff the two states accept exactly the same words: iff Moore
     refinement (``_moore_vector``) puts them in one block."""
     q1, q2 = _state(q1, d.state_count, "state"), _state(q2, d.state_count, "state")
-    blocks = _moore_vector(d._table, d._flags)
+    blocks, _ = _moore_vector(d._table, d._flags)
     return bool(blocks[q1] == blocks[q2])
 
 
@@ -564,9 +647,14 @@ def minimize(d: Dfa) -> Dfa:
     for its block, because equivalent states have equivalent successors.
     From ``_DENSE_MIN_QUEUE`` states up this runs on numpy tables and keeps
     a table and flags, below it on dict loops and keeps rows and a set;
-    both give the same automaton. A catenation DFA that carries a congruence
-    (the classes of states that differ only in useless second-automaton
-    states) is first replaced by its quotient by it on the table route.
+    both give the same automaton. The table route refines by exact rounds,
+    then hashed rounds, then exact rounds that confirm a hashed partition
+    unless it is one of single states, which is exact since equivalent
+    states always hash alike (see ``_moore_vector``); with no two states
+    merged, the table is its own quotient. A catenation DFA that carries a
+    congruence (the classes of states that differ only in useless
+    second-automaton states) is first replaced by its quotient by it on the
+    table route.
     """
     if d.state_count >= _DENSE_MIN_QUEUE:
         return _minimize_table(d)
@@ -611,7 +699,9 @@ def _minimize_table(d: Dfa) -> Dfa:
         _rank(classes, int(classes.max()) + 1)
         table, flags, start = _quotient(table, flags, start, classes)
         del classes  # not needed through Moore
-    table, flags, start = _quotient(table, flags, start, _moore_vector(table, flags))
+    blocks, _ = _moore_vector(table, flags)
+    if blocks.max() + 1 < len(blocks):  # else its quotient is the table itself
+        table, flags, start = _quotient(table, flags, start, blocks)
     if not _is_breadth_first(table, start):
         bfs, table = _bfs_levels(start, len(table), table.__getitem__)
         flags = flags[bfs]

@@ -272,7 +272,7 @@ def same_partition(x, y) -> bool:
 
 def vector_blocks(d: Dfa) -> list[int]:
     """``_moore_vector``'s block ids for all states of ``d``."""
-    return _moore_vector(d._table, d._flags).tolist()
+    return _moore_vector(d._table, d._flags)[0].tolist()
 
 
 def unary_lasso(n: int, tail: int, accepting_mask: int) -> Dfa:

@@ -28,12 +28,14 @@ from orthocat.cli import cmd_verify
 from orthocat.core import (
     _bfs_levels,
     _count_rank,
+    _exact_round,
     _is_breadth_first,
     _max_span,
     _minimize_loop,
     _minimize_table,
     _moore_loop,
     _moore_vector,
+    _quotient,
     _rank,
     _sort_rank,
 )
@@ -41,7 +43,7 @@ from orthocat.fileformat import parse_automaton, serialize_automaton
 from orthocat.randgen import random_dfa, splitmix64_stream
 
 from conftest import dfa_pairs
-from test_core import as_table, same_partition, unary_lasso, vector_blocks
+from test_core import as_table, inflated, same_partition, unary_lasso, vector_blocks
 
 
 def assert_same_build(a: Dfa, b: Dfa) -> None:
@@ -264,87 +266,119 @@ def doubled(d: Dfa) -> Dfa:
     return Dfa(d.alphabet, np.vstack([table, table + n]), d.start, np.flatnonzero(flags))
 
 
-def vector_rounds(monkeypatch, table: np.ndarray, flags: np.ndarray) -> int:
-    """The rounds ``_moore_vector`` takes, read off its ``_rank`` calls by
-    replaying its packing: within a round, a call ranks the packed values
-    whenever the next column would take their range past 2**63."""
-    calls = []
-
-    def spy(values, span):
-        calls.append((span, _rank(values, span)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(orthocat.core, "_rank", spy)
-    _moore_vector(table, flags)
-    monkeypatch.undo()
-    rounds, n_blocks, i = 0, calls[0][1], 1
-    while i < len(calls):
-        rounds, span = rounds + 1, 2
-        for _ in range(table.shape[1]):
-            if span * n_blocks > 2**63:
-                assert calls[i][0] == span
-                span, i = calls[i][1], i + 1
-            span *= n_blocks
-        assert calls[i][0] == span
-        n_blocks, i = calls[i][1], i + 1
-    return rounds
-
-
 class TestPackedMoore:
-    """Every value ``_moore_vector`` ranks lies below its span, and no span
-    passes 2**63; a round takes one ``_rank`` call unless its columns do not
-    fit one int64, and a partition that ends discrete takes no confirming
-    round."""
+    """``_moore_vector`` runs exact rounds while their packed range counts,
+    hashed rounds after, and exact rounds that confirm a hashed partition
+    short of single states; it must give the dict loop's partition. Every
+    value an exact round ranks lies below its span, and no span passes
+    2**63; an exact round takes one ``_rank`` call unless its columns do not
+    fit one int64."""
 
-    def rank_calls(self, monkeypatch, d: Dfa) -> int:
-        calls = []
+    def moore(self, monkeypatch, d: Dfa) -> tuple[int, int, int]:
+        """``_moore_vector``'s rounds on ``d``, its exact rounds and its
+        ``_rank`` calls, once its partition is checked against the loop."""
+        ranks, exact = [], []
 
         def checked(values, span):
             assert 0 <= values.min() and values.max() < span <= 2**63
-            calls.append(span)
+            ranks.append(span)
             return _rank(values, span)
 
+        def counted(*args):
+            exact.append(args)
+            return _exact_round(*args)
+
         monkeypatch.setattr(orthocat.core, "_rank", checked)
-        blocks = vector_blocks(d)
+        monkeypatch.setattr(orthocat.core, "_exact_round", counted)
+        blocks, rounds = _moore_vector(d._table, d._flags)
         monkeypatch.undo()
-        assert same_partition(blocks, _moore_loop(d))
-        return len(calls)
+        assert same_partition(blocks.tolist(), _moore_loop(d))
+        return rounds, len(exact), len(ranks)
 
     def test_all_columns_in_one_call(self, monkeypatch):
-        # 2 * 600**4 fits an int64: the first call, then one a round, and
-        # none to confirm a partition of single states
+        # the flags' rank, then one an exact round; hashed rounds that end on
+        # single states need no round to confirm them, where the dict loop
+        # takes one, and the twins take the loop's rounds and one exact
+        # round, after their hashes are ranked, whose (own block, successor
+        # blocks) fit one int64: 600**5 < 2**63
         draws = splitmix64_stream(0x7AB1_0002)
         for _ in range(20):
             d = random_dfa(300, 4, 0.5, next(draws))
             assert len(set(_moore_loop(d))) == 300
-            assert self.rank_calls(monkeypatch, d) == moore_rounds(d)
+            rounds, exact, ranks = self.moore(monkeypatch, d)
+            assert rounds == moore_rounds(d) - 1 > exact and ranks == 1 + exact
             twins = doubled(d)
-            assert 2 * len(set(_moore_loop(twins))) ** 4 <= 2**63
-            assert self.rank_calls(monkeypatch, twins) == 1 + moore_rounds(twins)
+            rounds, exact, ranks = self.moore(monkeypatch, twins)
+            assert rounds == 1 + moore_rounds(twins) and ranks == 2 + exact
 
     def test_columns_over_several_calls(self, monkeypatch):
-        # eight columns of 300 blocks each do not fit one int64
+        # the twins' confirming round packs eight columns of 300 blocks
+        # each, which do not fit one int64
         draws = splitmix64_stream(0x7AB1_0003)
         for _ in range(20):
             d = random_dfa(300, 8, 0.5, next(draws))
-            assert 2 * len(set(_moore_loop(d))) ** 8 > 2**63
-            assert self.rank_calls(monkeypatch, d) > moore_rounds(d)
+            rounds, exact, ranks = self.moore(monkeypatch, d)
+            assert rounds == moore_rounds(d) - 1 and ranks == 1 + exact
+            twins = doubled(d)
+            assert len(set(_moore_loop(twins))) ** 9 > 2**63
+            rounds, exact, ranks = self.moore(monkeypatch, twins)
+            assert rounds == 1 + moore_rounds(twins) and ranks > 2 + exact
 
     def test_rounds_at_scale(self, monkeypatch):
         # (12,14): the congruence quotient is already minimal, so Moore ends
-        # on single states, 12 rounds where a confirming round made 13
-        given = []
-        moore = _moore_vector
-        monkeypatch.setattr(orthocat.core, "_moore_vector", lambda *a: given.append(a) or moore(*a))
+        # on single states in 12 rounds, and no second quotient is taken
+        given, quotients = [], []
+        moore, quotient = _moore_vector, _quotient
+        monkeypatch.setattr(orthocat.core, "_moore_vector", lambda *a: given.append(moore(*a)) or given[-1])
+        monkeypatch.setattr(orthocat.core, "_quotient", lambda *a: quotients.append(a) or quotient(*a))
         d = build_catenation_dfa(witness_a(12), witness_b(14)).dfa
         assert minimize(d).state_count == orthogonal_upper_bound(12, 14) == len(given[0][0])
         monkeypatch.undo()
-        assert vector_rounds(monkeypatch, *given[0]) == 12
-        # the whole (10,12) catenation DFA is not minimal: it keeps the round
-        # that confirms its partition, as the dict loop does
+        assert given[0][1] == 12 and len(quotients) == 1
+        # the whole (10,12) catenation DFA is not minimal: its hashed rounds
+        # stop growing on the dict loop's 11th round, and one exact round
+        # confirms the partition
         d = hint_free(build_catenation_dfa(witness_a(10), witness_b(12)).dfa)
-        assert len(set(vector_blocks(d))) == orthogonal_upper_bound(10, 12) < d.state_count
-        assert vector_rounds(monkeypatch, d._table, d._flags) == moore_rounds(d) == 11
+        blocks, rounds = _moore_vector(d._table, d._flags)
+        assert len(set(blocks.tolist())) == orthogonal_upper_bound(10, 12) < d.state_count
+        assert rounds == 1 + moore_rounds(d) == 12
+
+    def test_a_degenerate_hash_still_gives_the_loop_partition(self, monkeypatch):
+        # every signature hashes to its accepting flag: each hashed round
+        # collides, and the exact rounds alone must find the partition
+        hashed = []
+
+        def flag_only(values, columns, flags):
+            hashed.append(values)
+            return flags.astype(np.uint64)
+
+        monkeypatch.setattr(orthocat.core, "_signature_hash", flag_only)
+        draws = splitmix64_stream(0x7AB1_0004)
+        automata = []
+        for k in (2, 4, 8):
+            d = random_dfa(200, k, 0.5, next(draws))
+            automata += [d, doubled(d)]
+        automata.append(hint_free(build_catenation_dfa(witness_a(10), witness_b(12)).dfa))
+        for d in automata:
+            hashed.clear()
+            assert same_partition(vector_blocks(d), _moore_loop(d))
+            assert hashed
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(64, 400),
+        st.integers(1, 8),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_matches_the_loop(self, n, k, copies, prob, seed):
+        # copies > 1: many equivalent states, so hashed rounds, once reached,
+        # stop short of single states and exact rounds confirm them
+        d = random_dfa(max(1, n // copies), k, prob, seed)
+        if copies > 1:
+            d = inflated(d, copies, seed)
+        assert same_partition(vector_blocks(d), _moore_loop(d))
 
 
 def ranked(values, span: int, rank) -> tuple[list[int], int]:
