@@ -405,23 +405,16 @@ _DENSE_MIN_QUEUE = 64
 _COUNT_SPAN_PER_VALUE = 2
 
 
-def _max_span(n: int) -> int:
-    """The largest value range ``_rank`` sorts for ``n`` values: a value
-    below it, shifted left past a state index below ``n``, fits an int64."""
-    return 1 << (63 - (n - 1).bit_length())
-
-
 def _rank(values: np.ndarray, span: int) -> int:
     """Replace each of ``values`` (int64, in ``0..span-1``) in place by its
     rank among the sorted distinct values; return how many are distinct.
 
-    A narrow range is ranked by counting which values occur, a wide one by
-    sorting; both give the same ids.
+    A narrow range is ranked by counting which values occur, a wide one
+    (hashes, sparse classes) by sorting; both give the same ids.
     """
-    n = len(values)
-    if span <= _COUNT_SPAN_PER_VALUE * n:
+    if span <= _COUNT_SPAN_PER_VALUE * len(values):
         return _count_rank(values, span)
-    return _sort_rank(values, span)
+    return _sort_rank(values)
 
 
 def _count_rank(values: np.ndarray, span: int) -> int:
@@ -435,23 +428,11 @@ def _count_rank(values: np.ndarray, span: int) -> int:
     return len(present)
 
 
-def _sort_rank(values: np.ndarray, span: int) -> int:
-    """``_rank`` by one in-place sort of ``value << shift | position``; or,
-    when the range leaves no room for the positions (Moore's packed ranges
-    may reach 2**63), by an argsort."""
-    n = len(values)
-    if span <= _max_span(n):
-        shift = (n - 1).bit_length()
-        values <<= shift
-        values |= np.arange(n)
-        values.sort()
-        order = values & ((1 << shift) - 1)
-        values >>= shift
-        ordered = values
-    else:
-        order = values.argsort()
-        ordered = values[order]
-    new = np.empty(n, dtype=bool)
+def _sort_rank(values: np.ndarray) -> int:
+    """``_rank`` by an argsort, whatever the range."""
+    order = values.argsort()
+    ordered = values[order]
+    new = np.empty(len(values), dtype=bool)
     new[0] = False
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     ids = np.cumsum(new)
@@ -481,27 +462,26 @@ def _moore_vector(table: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, int
     block id per state, the ids ``0..count-1`` all used, and the number of
     rounds taken.
 
-    The rounds run in three phases:
+    The rounds run in two phases, and one check ends them:
 
     - Exact while counting is cheap, that is while ``n_blocks ** k <= n``
-      (k letters, n states): a round ranks the signature (accepting bit,
-      block of each successor), whose packed range stays within twice the
-      state count, so ``_rank`` counts it. Over the blocks of the previous
-      Moore level this splits the states as (own block, block of each
-      successor) would.
+      (k letters, n states): a round packs (accepting bit, block of each
+      successor) into one int64 below ``2 * n`` and ranks it by counting.
+      Over the blocks of the previous Moore level this splits the states
+      as (own block, block of each successor) would.
     - Hashed: a round gives each state ``_signature_hash`` of its own value
       and its successors' values, and counts the distinct values with one
       sort. Equivalent states always hash alike, so a hashed partition is
       never finer than the minimal one; one of single states is therefore
       exact, and final.
-    - Confirming: when the count stops growing short of the state count (a
-      collision, or a stable partition), the hashes are ranked and exact
-      rounds by (own block, block of each successor) refine them until they
-      are stable. Those hashes keep acceptance apart and merge no
-      inequivalent states, so the rounds end on the minimal partition
-      whatever the hash.
-
-    A partition of single states needs no round to confirm it.
+    - When the hashed count stops growing short of n, the hashes are ranked
+      once and checked to be a right congruence: on each letter, each
+      state's successor block is that of one member of its block. A
+      congruence whose blocks keep acceptance apart (the hash's low bit) is
+      no coarser than the minimal partition (Myhill-Nerode), so it is the
+      minimal partition. Only a hash collision, even a crafted one, fails
+      the check; ``_moore_loop`` then refines the table instead, which
+      costs time but never the answer, and its rounds are not counted.
     """
     columns = np.ascontiguousarray(table.T)
     n = len(flags)
@@ -515,7 +495,11 @@ def _moore_vector(table: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, int
         rounds += 1
         block[:] = cur
         cur[:] = flags
-        count = _exact_round(cur, 2, n_blocks, block, columns, successor)
+        for column in columns:
+            cur *= n_blocks
+            # ids are in range: "clip" skips the copy the default mode makes for out=
+            cur += block.take(column, out=successor, mode="clip")
+        count = _count_rank(cur, 2 * n_blocks ** len(columns))
         if count == n_blocks:
             return cur, rounds
         n_blocks = count
@@ -528,41 +512,19 @@ def _moore_vector(table: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, int
         del ordered  # before the next round's sort
         if count == n:
             return np.arange(n), rounds
-        if count <= n_blocks:  # stable, or a collision: confirm exactly
-            n_blocks = _rank(cur, 1 << 63)
-            break
-        n_blocks = count
-    while n_blocks < n:
-        rounds += 1
-        block[:] = cur
-        count = _exact_round(cur, n_blocks, n_blocks, block, columns, successor)
-        if count == n_blocks:
+        if count <= n_blocks:  # stable, or a collision: check the congruence
+            member = np.empty(_sort_rank(cur), dtype=np.int64)
+            member[cur] = np.arange(n)  # any member will do
+            rep = member.take(cur)
+            block[:] = cur
+            for column in columns:
+                block.take(column, out=successor, mode="clip")
+                if not np.array_equal(successor, successor.take(rep)):
+                    loop = _moore_loop(Dfa._make((), table.view(), 0, flags.view()))
+                    return np.array(loop, dtype=np.int64), rounds
             break
         n_blocks = count
     return cur, rounds
-
-
-def _exact_round(
-    cur: np.ndarray,
-    span: int,
-    n_blocks: int,
-    block: np.ndarray,
-    columns: np.ndarray,
-    successor: np.ndarray,
-) -> int:
-    """Rank, in place, each value of ``cur`` (in ``0..span-1``) followed by
-    the ``block`` id (in ``0..n_blocks-1``) of each successor along
-    ``columns``; return how many are distinct. The columns are packed as
-    ``value * n_blocks + next``, ranked whenever the next one would take the
-    range past 2**63; ``successor`` is scratch space shaped like ``block``."""
-    for column in columns:
-        if span * n_blocks > 1 << 63:
-            span = _rank(cur, span)
-        cur *= n_blocks
-        # ids are in range: "clip" skips the copy the default mode makes for out=
-        cur += block.take(column, out=successor, mode="clip")
-        span *= n_blocks
-    return _rank(cur, span)
 
 
 # splitmix64's constants (see ``randgen``): the odd step multiplier folds in
@@ -648,13 +610,12 @@ def minimize(d: Dfa) -> Dfa:
     From ``_DENSE_MIN_QUEUE`` states up this runs on numpy tables and keeps
     a table and flags, below it on dict loops and keeps rows and a set;
     both give the same automaton. The table route refines by exact rounds,
-    then hashed rounds, then exact rounds that confirm a hashed partition
-    unless it is one of single states, which is exact since equivalent
-    states always hash alike (see ``_moore_vector``); with no two states
-    merged, the table is its own quotient. A catenation DFA that carries a
-    congruence (the classes of states that differ only in useless
-    second-automaton states) is first replaced by its quotient by it on the
-    table route.
+    then hashed rounds, and checks once that a hashed partition short of
+    single states is a congruence, which makes it minimal by Myhill-Nerode
+    (see ``_moore_vector``); with no two states merged, the table is its
+    own quotient. A catenation DFA that carries a congruence (the classes
+    of states that differ only in useless second-automaton states) is first
+    replaced by its quotient by it on the table route.
     """
     if d.state_count >= _DENSE_MIN_QUEUE:
         return _minimize_table(d)
@@ -733,8 +694,11 @@ def _is_breadth_first(table: np.ndarray, start: int) -> bool:
     one above the highest before it and first occurs in a row before its own."""
     top = np.maximum.accumulate(table.ravel())
     row_tops = top[table.shape[1] - 1 :: table.shape[1]][:-1]
-    steps = start == 0 and top[0] <= 1 and (np.diff(top) <= 1).all()
-    return bool(steps and (row_tops > np.arange(len(row_tops))).all())
+    if not (start == 0 and top[0] <= 1 and (row_tops > np.arange(len(row_tops))).all()):
+        return False
+    # top never falls, so it rises by at most 1 a step iff its rise is its
+    # number of steps that rise: one bool a cell, not a second int64 table
+    return bool(np.count_nonzero(top[1:] != top[:-1]) == top[-1] - top[0])
 
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:

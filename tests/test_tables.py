@@ -28,15 +28,14 @@ from orthocat.cli import cmd_verify
 from orthocat.core import (
     _bfs_levels,
     _count_rank,
-    _exact_round,
     _is_breadth_first,
-    _max_span,
     _minimize_loop,
     _minimize_table,
     _moore_loop,
     _moore_vector,
     _quotient,
     _rank,
+    _signature_hash,
     _sort_rank,
 )
 from orthocat.fileformat import parse_automaton, serialize_automaton
@@ -268,61 +267,52 @@ def doubled(d: Dfa) -> Dfa:
 
 class TestPackedMoore:
     """``_moore_vector`` runs exact rounds while their packed range counts,
-    hashed rounds after, and exact rounds that confirm a hashed partition
-    short of single states; it must give the dict loop's partition. Every
-    value an exact round ranks lies below its span, and no span passes
-    2**63; an exact round takes one ``_rank`` call unless its columns do not
-    fit one int64."""
+    hashed rounds after, and one check that a hashed partition short of
+    single states is a congruence; it must give the dict loop's partition.
+    ``_moore_loop`` runs inside it only after a hash collision, and no
+    input here has one."""
 
     def moore(self, monkeypatch, d: Dfa) -> tuple[int, int, int]:
-        """``_moore_vector``'s rounds on ``d``, its exact rounds and its
-        ``_rank`` calls, once its partition is checked against the loop."""
-        ranks, exact = [], []
-
-        def checked(values, span):
-            assert 0 <= values.min() and values.max() < span <= 2**63
-            ranks.append(span)
-            return _rank(values, span)
-
-        def counted(*args):
-            exact.append(args)
-            return _exact_round(*args)
-
-        monkeypatch.setattr(orthocat.core, "_rank", checked)
-        monkeypatch.setattr(orthocat.core, "_exact_round", counted)
+        """``_moore_vector``'s rounds on ``d``, its hashed rounds and its
+        sort ranks (the check's), once its partition is checked against the
+        loop and the fallback is seen not to have run."""
+        hashed, sorted_, fallbacks = [], [], []
+        signature_hash, sort_rank, loop = _signature_hash, _sort_rank, _moore_loop
+        monkeypatch.setattr(orthocat.core, "_signature_hash", lambda *a: hashed.append(a) or signature_hash(*a))
+        monkeypatch.setattr(orthocat.core, "_sort_rank", lambda v: sorted_.append(v) or sort_rank(v))
+        monkeypatch.setattr(orthocat.core, "_moore_loop", lambda d: fallbacks.append(d) or loop(d))
         blocks, rounds = _moore_vector(d._table, d._flags)
         monkeypatch.undo()
+        assert not fallbacks
         assert same_partition(blocks.tolist(), _moore_loop(d))
-        return rounds, len(exact), len(ranks)
+        return rounds, len(hashed), len(sorted_)
 
     def test_all_columns_in_one_call(self, monkeypatch):
-        # the flags' rank, then one an exact round; hashed rounds that end on
-        # single states need no round to confirm them, where the dict loop
-        # takes one, and the twins take the loop's rounds and one exact
-        # round, after their hashes are ranked, whose (own block, successor
-        # blocks) fit one int64: 600**5 < 2**63
+        # hashed rounds that end on single states need no round to confirm
+        # them, where the dict loop takes one, and rank nothing by sorting;
+        # the twins stop growing on the loop's stable round, and the check
+        # ranks their hashes once and passes, with no round of its own
         draws = splitmix64_stream(0x7AB1_0002)
         for _ in range(20):
             d = random_dfa(300, 4, 0.5, next(draws))
             assert len(set(_moore_loop(d))) == 300
-            rounds, exact, ranks = self.moore(monkeypatch, d)
-            assert rounds == moore_rounds(d) - 1 > exact and ranks == 1 + exact
+            rounds, hashed, sorts = self.moore(monkeypatch, d)
+            assert rounds == moore_rounds(d) - 1 and hashed > 0 and sorts == 0
             twins = doubled(d)
-            rounds, exact, ranks = self.moore(monkeypatch, twins)
-            assert rounds == 1 + moore_rounds(twins) and ranks == 2 + exact
+            rounds, hashed, sorts = self.moore(monkeypatch, twins)
+            assert rounds == moore_rounds(twins) and hashed > 0 and sorts == 1
 
     def test_columns_over_several_calls(self, monkeypatch):
-        # the twins' confirming round packs eight columns of 300 blocks
-        # each, which do not fit one int64
+        # eight letters: fewer exact rounds before the hashed ones, and the
+        # check runs over eight columns
         draws = splitmix64_stream(0x7AB1_0003)
         for _ in range(20):
             d = random_dfa(300, 8, 0.5, next(draws))
-            rounds, exact, ranks = self.moore(monkeypatch, d)
-            assert rounds == moore_rounds(d) - 1 and ranks == 1 + exact
+            rounds, hashed, sorts = self.moore(monkeypatch, d)
+            assert rounds == moore_rounds(d) - 1 and hashed > 0 and sorts == 0
             twins = doubled(d)
-            assert len(set(_moore_loop(twins))) ** 9 > 2**63
-            rounds, exact, ranks = self.moore(monkeypatch, twins)
-            assert rounds == 1 + moore_rounds(twins) and ranks > 2 + exact
+            rounds, hashed, sorts = self.moore(monkeypatch, twins)
+            assert rounds == moore_rounds(twins) and hashed > 0 and sorts == 1
 
     def test_rounds_at_scale(self, monkeypatch):
         # (12,14): the congruence quotient is already minimal, so Moore ends
@@ -336,33 +326,41 @@ class TestPackedMoore:
         monkeypatch.undo()
         assert given[0][1] == 12 and len(quotients) == 1
         # the whole (10,12) catenation DFA is not minimal: its hashed rounds
-        # stop growing on the dict loop's 11th round, and one exact round
-        # confirms the partition
+        # stop growing on the dict loop's 11th, stable, round, and the check
+        # passes without a round of its own
         d = hint_free(build_catenation_dfa(witness_a(10), witness_b(12)).dfa)
-        blocks, rounds = _moore_vector(d._table, d._flags)
+        rounds, hashed, sorts = self.moore(monkeypatch, d)
+        assert rounds == moore_rounds(d) == 11 and hashed > 0 and sorts == 1
+        blocks, _ = _moore_vector(d._table, d._flags)
         assert len(set(blocks.tolist())) == orthogonal_upper_bound(10, 12) < d.state_count
-        assert rounds == 1 + moore_rounds(d) == 12
 
     def test_a_degenerate_hash_still_gives_the_loop_partition(self, monkeypatch):
-        # every signature hashes to its accepting flag: each hashed round
-        # collides, and the exact rounds alone must find the partition
-        hashed = []
-
-        def flag_only(values, columns, flags):
-            hashed.append(values)
-            return flags.astype(np.uint64)
-
-        monkeypatch.setattr(orthocat.core, "_signature_hash", flag_only)
+        # every signature hashes to its accepting flag: the first hashed
+        # round collides, the check fails, and the dict loop it falls back
+        # on must find the partition that the real hash finds
         draws = splitmix64_stream(0x7AB1_0004)
         automata = []
         for k in (2, 4, 8):
             d = random_dfa(200, k, 0.5, next(draws))
             automata += [d, doubled(d)]
         automata.append(hint_free(build_catenation_dfa(witness_a(10), witness_b(12)).dfa))
-        for d in automata:
+        unpatched = [vector_blocks(d) for d in automata]
+        hashed, fallbacks = [], []
+
+        def flag_only(values, columns, flags):
+            hashed.append(values)
+            return flags.astype(np.uint64)
+
+        loop = _moore_loop
+        monkeypatch.setattr(orthocat.core, "_signature_hash", flag_only)
+        monkeypatch.setattr(orthocat.core, "_moore_loop", lambda d: fallbacks.append(d) or loop(d))
+        for d, expected in zip(automata, unpatched):
             hashed.clear()
-            assert same_partition(vector_blocks(d), _moore_loop(d))
-            assert hashed
+            fallbacks.clear()
+            blocks = vector_blocks(d)
+            assert hashed and len(fallbacks) == 1
+            assert same_partition(blocks, expected)
+            assert same_partition(blocks, loop(d))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -374,7 +372,7 @@ class TestPackedMoore:
     )
     def test_matches_the_loop(self, n, k, copies, prob, seed):
         # copies > 1: many equivalent states, so hashed rounds, once reached,
-        # stop short of single states and exact rounds confirm them
+        # stop short of single states and the congruence check runs
         d = random_dfa(max(1, n // copies), k, prob, seed)
         if copies > 1:
             d = inflated(d, copies, seed)
@@ -406,23 +404,20 @@ class TestRank:
         span, values = span_values
         distinct = sorted(set(values))
         expected = ([distinct.index(v) for v in values], len(distinct))
-        # a wider span is as valid a bound; past _max_span it takes the argsort
-        unpacked = _max_span(len(values)) * 2
         assert ranked(values, span, _count_rank) == expected
-        assert ranked(values, span, _sort_rank) == expected
-        assert ranked(values, unpacked, _sort_rank) == expected
+        assert ranked(values, span, lambda v, _: _sort_rank(v)) == expected
         assert ranked(values, span, _rank) == expected
+        # a wider span is as valid a bound, and takes the argsort
+        assert ranked(values, 2**63, _rank) == expected
 
-    def test_packed_keys_fit_past_a_million_values(self):
-        # 2**20 + 1 values need 21 position bits, leaving 42 for the values
+    def test_ranks_past_a_million_values(self):
+        # the hashes' range: far too wide to count, ranked by the argsort
         n = 2**20 + 1
-        span = _max_span(n)
-        assert span == 2**42 and (span - 1) << 21 | (n - 1) < 2**63
-        values = np.random.default_rng(8).integers(0, span, n)
-        values[[0, 5, n - 1]] = span - 1
+        values = np.random.default_rng(8).integers(0, 2**63, n)
+        values[[0, 5, n - 1]] = 2**63 - 1
         values[[1, 2]] = 0
         _, expected = np.unique(values, return_inverse=True)
-        assert _rank(values, span) == expected.max() + 1
+        assert _rank(values, 2**63) == expected.max() + 1
         assert np.array_equal(values, expected)
 
 
