@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import core
 from .core import (
     _DENSE_MIN_QUEUE,
     Dfa,
@@ -25,16 +26,10 @@ from .core import (
     _state,
 )
 
-# The dense build indexes all m * 2**n keys of an (m, n) pair in one array;
-# it runs while that index and its step table (8 bytes a cell, (m + k) *
-# 2**n cells for k letters) stay within this many cells, 128 MB. The dict
-# loop and the orthogonality search's numpy route keep to the same budget.
-_DENSE_MAX_CELLS = 1 << 24
-
 
 def _dense_fits(m: int, k: int, n: int) -> bool:
-    """(m + k) << n <= _DENSE_MAX_CELLS, without forming 2**n for a huge n."""
-    return m + k <= _DENSE_MAX_CELLS >> n
+    """(m + k) << n <= core._MAX_CELLS, without forming 2**n for a huge n."""
+    return m + k <= core._MAX_CELLS >> n
 
 
 @dataclass(frozen=True)
@@ -133,24 +128,24 @@ def build_catenation_dfa(a: Dfa, b: Dfa) -> CatDfa:
     rule only spawns runs on moves and would otherwise lose ε·L(b).
 
     States are numbered breadth-first, symbols in alphabet order. A dict
-    loop builds the automaton. If numpy tables indexed by every label fit
-    ``_DENSE_MAX_CELLS``, the build starts over on them, with the same
-    result, once the loop queues more than ``_DENSE_MIN_QUEUE`` found states
-    or passes its budget; if they do not fit, that budget raises ValueError.
+    loop builds the automaton. If numpy tables indexed by every label fit the
+    size budget ``core._MAX_CELLS``, the build starts over on them, with the
+    same result, once the loop queues more than ``_DENSE_MIN_QUEUE`` found
+    states or passes its share of the budget; if not, that raises ValueError.
     """
     _require_same_alphabet(a, b)
     if _dense_fits(a.state_count, len(a.alphabet), b.state_count):
         return _build_loop(a, b, _DENSE_MIN_QUEUE) or _build_dense(a, b)
     cat = _build_loop(a, b)
     if cat is None:
-        raise ValueError(f"the catenation DFA would pass the limit of {_DENSE_MAX_CELLS} cells")
+        raise core._over_budget("the catenation DFA")
     return cat
 
 
 def _build_loop(a: Dfa, b: Dfa, limit: float = float("inf")) -> CatDfa | None:
     """``build_catenation_dfa`` by a dict-indexed BFS over (q, mask) keys;
-    None as soon as more than ``limit`` found states wait in the queue, or
-    the loop passes its budget."""
+    None once more than ``limit`` found states wait in the queue, or once
+    its found keys plus k cells a row (k letters) pass ``_MAX_CELLS >> 4``."""
     nb, k = b.state_count, len(a.alphabet)
     image = [[1 << b.delta[p][s] for p in range(nb)] for s in range(k)]
     # step[s][mask]: the b-states that mask moves to on s. A mask recurs
@@ -181,12 +176,7 @@ def _build_loop(a: Dfa, b: Dfa, limit: float = float("inf")) -> CatDfa | None:
                 keys.append(key)
             row.append(target)
         rows.append(tuple(row))
-        # The budget: a found state takes about 330 bytes, so 2**18 of them
-        # stay within the 128 MB that the dense tables may take. It takes
-        # about 2 µs on the witness pairs (12,14) and (14,16); the time grows
-        # with the mask's width and varies with the host (3.6 µs at n = 30
-        # on one host).
-        if len(keys) - len(rows) > limit or len(keys) > _DENSE_MAX_CELLS >> 6:
+        if len(keys) - len(rows) > limit or len(keys) + k * len(rows) > core._MAX_CELLS >> 4:
             return None
     accepting = frozenset(i for i, (_, mask) in enumerate(keys) if mask & fb_mask)
     return CatDfa(Dfa._make(a.alphabet, tuple(rows), 0, accepting), tuple(keys))

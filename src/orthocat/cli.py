@@ -14,8 +14,8 @@ import time
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
+from . import core
 from .catenation import (
-    _DENSE_MAX_CELLS,
     _dense_fits,
     build_catenation_dfa,
     build_catenation_nfa,
@@ -92,18 +92,14 @@ def cmd_verify(m: int, n: int) -> SweepRow:
     decision procedure and the bounded brute-force scan, and measure the
     minimal catenation size against the predicted bound. A pair is refused
     before any work when the dense build's tables or the oracle's, ``(m +
-    n) * k**8`` cells for k letters, would pass ``_DENSE_MAX_CELLS``."""
+    n) * k**8`` cells for k letters, would pass ``core._MAX_CELLS``."""
     if m < 3 or n < 3:
         raise ValueError("verify needs m >= 3 and n >= 3")
     k = len(_SIGMA)
     if not _dense_fits(m, k, n):
-        raise ValueError(
-            f"verify {m} {n}: the catenation table would pass the limit of {_DENSE_MAX_CELLS} cells"
-        )
-    if (m + n) * k**_VERIFY_ORACLE_MAX_LEN > _DENSE_MAX_CELLS:
-        raise ValueError(
-            f"verify {m} {n}: the oracle's tables would pass the limit of {_DENSE_MAX_CELLS} cells"
-        )
+        raise core._over_budget(f"verify {m} {n}: the catenation table")
+    if (m + n) * k**_VERIFY_ORACLE_MAX_LEN > core._MAX_CELLS:
+        raise core._over_budget(f"verify {m} {n}: the oracle's tables")
     return _witness_cell(m, n, check_oracle=True)
 
 

@@ -399,26 +399,25 @@ def dead_states(d: Dfa) -> frozenset[int]:
 # benchmark is 24 nodes; and tiny random inputs stay on minimize's dict loops.
 _DENSE_MIN_QUEUE = 64
 
-# ``_rank`` counts instead of sorting while the value range is at most this
-# many times the number of values: a pass over a range that small costs less
-# than a sort, and a sort's per-call overhead dominates small inputs.
-_COUNT_SPAN_PER_VALUE = 2
+# The size budget of every stage, in cells: 128 MB of int64s. Stages read it
+# here when called. The dense catenation build counts its key index and step
+# table, (m + k) << n cells for an (m, n) pair over k letters; the numpy
+# orthogonality search its arrays over every key; ``verify``'s brute-force
+# oracle its count tables, (m + n) * k**8. The build's dict loop counts its
+# found keys plus k cells a row against ``_MAX_CELLS >> 4``: its cells are
+# Python objects in lists, tuples and dicts, 80-100 bytes each (tracemalloc's
+# peak on refused builds over 4 to 256 letters), so 2**20 stay near 100 MB.
+_MAX_CELLS = 1 << 24
 
 
-def _rank(values: np.ndarray, span: int) -> int:
-    """Replace each of ``values`` (int64, in ``0..span-1``) in place by its
-    rank among the sorted distinct values; return how many are distinct.
-
-    A narrow range is ranked by counting which values occur, a wide one
-    (hashes, sparse classes) by sorting; both give the same ids.
-    """
-    if span <= _COUNT_SPAN_PER_VALUE * len(values):
-        return _count_rank(values, span)
-    return _sort_rank(values)
+def _over_budget(what: str) -> ValueError:
+    """The error that refuses ``what``, a stage past the size budget."""
+    return ValueError(f"{what} would pass the limit of {_MAX_CELLS} cells")
 
 
 def _count_rank(values: np.ndarray, span: int) -> int:
-    """``_rank`` by a table of the values that occur."""
+    """Replace each of ``values`` (int64, in ``0..span-1``) in place by its rank
+    among the distinct values, counting which occur; return how many occur."""
     seen = np.zeros(span, dtype=bool)
     seen[values] = True
     present = seen.nonzero()[0]
@@ -429,7 +428,7 @@ def _count_rank(values: np.ndarray, span: int) -> int:
 
 
 def _sort_rank(values: np.ndarray) -> int:
-    """``_rank`` by an argsort, whatever the range."""
+    """``_count_rank`` by an argsort, whatever the range."""
     order = values.argsort()
     ordered = values[order]
     new = np.empty(len(values), dtype=bool)
@@ -440,15 +439,16 @@ def _sort_rank(values: np.ndarray) -> int:
     return int(ids[-1]) + 1
 
 
-def _moore_loop(d: Dfa) -> list[int]:
-    """Moore refinement with dict-numbered signatures, over all states."""
-    block = [1 if q in d.accepting else 0 for q in range(d.state_count)]
+def _moore_loop(rows: Sequence[Sequence[int]], flags: Iterable[bool]) -> list[int]:
+    """Moore refinement with dict-numbered signatures, over all states of
+    the automaton with transition ``rows`` and accepting ``flags``."""
+    block = list(map(int, flags))
     n_blocks = len(set(block))
     while True:
         sigs: dict[tuple[int, ...], int] = {}
         new_block = [
             sigs.setdefault((block[q], *map(block.__getitem__, row)), len(sigs))
-            for q, row in enumerate(d.delta)
+            for q, row in enumerate(rows)
         ]
         if len(sigs) == n_blocks:
             return new_block
@@ -486,7 +486,7 @@ def _moore_vector(table: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, int
     columns = np.ascontiguousarray(table.T)
     n = len(flags)
     cur = flags.astype(np.int64)
-    n_blocks = _rank(cur, 2)
+    n_blocks = _count_rank(cur, 2)
     # block ids are below n: a narrow copy halves the memory each gather reads
     block = np.empty(n, dtype=np.int32 if n <= 1 << 31 else np.int64)
     successor = np.empty_like(block)
@@ -520,7 +520,7 @@ def _moore_vector(table: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, int
             for column in columns:
                 block.take(column, out=successor, mode="clip")
                 if not np.array_equal(successor, successor.take(rep)):
-                    loop = _moore_loop(Dfa._make((), table.view(), 0, flags.view()))
+                    loop = _moore_loop(table.tolist(), flags.tolist())
                     return np.array(loop, dtype=np.int64), rounds
             break
         n_blocks = count
@@ -625,7 +625,8 @@ def minimize(d: Dfa) -> Dfa:
 def _minimize_loop(d: Dfa) -> Dfa:
     """``minimize`` by the dict loops: Moore refinement, then a queue-driven
     BFS over the quotient."""
-    blocks = _moore_loop(d)
+    flags = [q in d.accepting for q in range(d.state_count)]
+    blocks = _moore_loop(d.delta, flags)
     rep = dict(zip(blocks, range(d.state_count)))
     order = [-1] * d.state_count  # block id -> new state number
     order[blocks[d.start]] = 0
@@ -640,7 +641,7 @@ def _minimize_loop(d: Dfa) -> Dfa:
                 bfs.append(tb)
             row.append(order[tb])
         rows.append(tuple(row))
-    accepting = frozenset(i for i, b in enumerate(bfs) if rep[b] in d.accepting)
+    accepting = frozenset(i for i, b in enumerate(bfs) if flags[rep[b]])
     return Dfa._make(d.alphabet, tuple(rows), 0, accepting)
 
 
@@ -656,10 +657,7 @@ def _minimize_table(d: Dfa) -> Dfa:
     table, flags, start = d._table, d._flags, d.start
     if d._congruence is not None:
         codes, keep = d._congruence
-        classes = codes & keep
-        _rank(classes, int(classes.max()) + 1)
-        table, flags, start = _quotient(table, flags, start, classes)
-        del classes  # not needed through Moore
+        table, flags, start = _quotient(table, flags, start, codes & keep)
     blocks, _ = _moore_vector(table, flags)
     if blocks.max() + 1 < len(blocks):  # else its quotient is the table itself
         table, flags, start = _quotient(table, flags, start, blocks)
@@ -674,17 +672,19 @@ def _quotient(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The table, accepting flags and start of the automaton whose states
     are the ``classes`` of a congruence that respects acceptance, given as
-    one int64 id per state, every id in ``0..max`` used. ``classes`` is
-    renumbered in place by first members, in state order, and each first
+    one int64 id per state, ids in ``0..max`` with gaps allowed. ``classes``
+    is renumbered in place by first members, in state order, and each first
     member stands for its class; a class's shortest-lex access word is the
     least of its members', so the quotient of a breadth-first automaton is
     breadth-first."""
     first = np.full(int(classes.max()) + 1, len(classes), dtype=np.int64)
     np.minimum.at(first, classes, np.arange(len(classes)))
     first.sort()
-    ids = np.empty_like(first)
+    ids = np.empty_like(first)  # read only where a class occurs
+    first = first[: np.searchsorted(first, len(classes))]  # unused ids sort last
     ids[classes[first]] = np.arange(len(first))
     ids.take(classes, out=classes, mode="clip")  # reads each index before writing its place
+    del ids  # sized by the largest id: not held through the gathers below
     return classes[table[first]], flags[first], int(classes[start])
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .catenation import (
-    _DENSE_MAX_CELLS,
     CatDfa,
     build_catenation_dfa,
     build_catenation_nfa,
@@ -116,7 +116,7 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     Once a level holds more, :func:`_dense_search` starts the search over
     with one numpy step per level and marks the nodes on shortest paths to
     a hit; the loop, admitting only those, then reads the same witness. The
-    numpy route runs only while its arrays fit ``_DENSE_MAX_CELLS`` int64
+    numpy route runs only while its arrays keep to ``core._MAX_CELLS`` int64
     cells (about 24 * k * (m + n)**2 for k letters); past that the loop runs
     to the end. Both routes read the NFA's cells, frozensets, as built, in
     any order.
@@ -131,7 +131,7 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     # there is: two for the new keys each step meets and their rows, kept for
     # every level, and four for one step's work, in case all wait in one level.
     cells = (3 << 2 * bits) + 24 * len(nfa.alphabet) * len(succ) * (len(succ) + 1)
-    narrow = _DENSE_MIN_QUEUE if cells <= _DENSE_MAX_CELLS else float("inf")
+    narrow = _DENSE_MIN_QUEUE if cells <= core._MAX_CELLS else float("inf")
     found = _search(succ, nfa.accepting, bits, (a.start, a.start, False), narrow)
     return OrthogonalityVerdict(found and _witness(*found, a.state_count))
 

@@ -25,14 +25,26 @@ from orthocat import (
     witness_a,
     witness_b,
 )
-import orthocat.catenation
+import orthocat.core
 from orthocat.catenation import _build_dense, _build_loop
+from orthocat.randgen import splitmix64_stream
 
 
 def epsilon_dfa(alphabet=("a",)) -> Dfa:
     """Two-state DFA for the language {ε}: accepting start plus a sink."""
     k = len(alphabet)
     return Dfa(alphabet, ((1,) * k, (1,) * k), 0, frozenset({0}))
+
+
+def wide_pair(k: int, seed: int = 0x3030_0001) -> tuple[Dfa, Dfa]:
+    """A 1-state all-accepting automaton and a random 30-state one over the
+    k letters ``s0``, ``s1``, ...: each letter starts a b-run, and the
+    reachable sets of runs grow with k."""
+    alphabet = tuple(f"s{i}" for i in range(k))
+    draws = splitmix64_stream(seed)
+    rows = [[next(draws) % 30 for _ in alphabet] for _ in range(30)]
+    b = Dfa(alphabet, rows, 0, {q for q in range(30) if next(draws) & 1})
+    return Dfa(alphabet, [[0] * k], 0, {0}), b
 
 
 def single_word_dfa(word: str, alphabet: tuple[str, ...]) -> Dfa:
@@ -95,38 +107,40 @@ class TestBuildCatenationDfa:
         assert cat.dfa.state_count == n  # the masks {0, ..., j} for j < n
         assert minimize(cat.dfa) == minimize(determinize(build_catenation_nfa(a, b)))
 
-    def test_refuses_a_build_past_the_budget_fast(self):
-        # the dense tables of (3, 30) do not fit, and the loop would find
-        # 3 * 2**30 states at most. The loop reads a.delta[q] once for each
-        # state it expands, so the work is counted, not timed. It refuses
-        # once more than `budget` states are found; each expanded state finds
-        # at most k of them, so at least budget // k were expanded; before
-        # the last check the queue held a state and at most `budget` were
-        # found, so at most `budget` were expanded.
-        budget = orthocat.catenation._DENSE_MAX_CELLS >> 6
+    @pytest.mark.parametrize("k", [4, 16, 256])
+    def test_refuses_a_build_past_the_budget_fast(self, k):
+        # no dense tables fit a 30-state second automaton, and the loop
+        # would find up to 2**30 masks for each first-automaton state. The
+        # loop reads a.delta[q] once for each row it expands, so the work is
+        # counted, not timed. It refuses once its found keys plus k cells a
+        # row pass `budget`; each row finds at most k keys, so at least
+        # budget // (2k) rows were expanded; before the last check at least
+        # as many keys as rows were found, so at most budget // k + 1 were.
+        budget = orthocat.core._MAX_CELLS >> 4
         reads = 0
 
         class Rows(tuple):
             def __getitem__(self, q):
                 nonlocal reads
                 reads += 1
-                if reads > budget:
+                if reads > budget // k + 1:
                     raise AssertionError("the loop passed its budget")
                 return super().__getitem__(q)
 
-        a = witness_a(3)
-        k = len(a.alphabet)
+        a, b = (witness_a(3), witness_b(30)) if k == 4 else wide_pair(k)
+        assert len(a.alphabet) == k
         spy = Dfa._make(a.alphabet, Rows(a.delta), a.start, a.accepting)
         with pytest.raises(ValueError, match=f"limit of {1 << 24} cells"):
-            build_catenation_dfa(spy, witness_b(30))
-        assert budget // k <= reads <= budget
+            build_catenation_dfa(spy, b)
+        assert budget // (2 * k) <= reads <= budget // k + 1
 
     def test_loop_past_its_budget_hands_over_to_the_dense_build(self, monkeypatch):
         # a 102-state path: one state a level, so the loop's queue stays short
         a, b = single_word_dfa("a" * 100, ("a",)), unary_star_dfa(2)
         loop = _build_loop(a, b)
-        # a 64-state budget for the loop; the dense tables, 412 cells, still fit
-        monkeypatch.setattr(orthocat.catenation, "_DENSE_MAX_CELLS", 1 << 12)
+        # the loop's share, 128 cells, takes 64 states of one letter; the
+        # dense tables, 412 cells, still fit
+        monkeypatch.setattr(orthocat.core, "_MAX_CELLS", 1 << 11)
         assert loop.dfa.state_count > 64 and _build_loop(a, b) is None
         cat = build_catenation_dfa(a, b)
         assert "_codes" in vars(cat)

@@ -256,7 +256,7 @@ class TestMinimize:
         small = minimize(d)
         assert small.state_count <= d.state_count
         assert reachable_states(small) == frozenset(range(small.state_count))
-        assert len(set(_moore_loop(small))) == small.state_count
+        assert len(set(loop_blocks(small))) == small.state_count
 
     def test_preserves_membership_up_to_length_8(self):
         for d, _ in dfa_pairs(0x3141_0001, 30, max_m=5, max_n=1):
@@ -273,6 +273,11 @@ def same_partition(x, y) -> bool:
 def vector_blocks(d: Dfa) -> list[int]:
     """``_moore_vector``'s block ids for all states of ``d``."""
     return _moore_vector(d._table, d._flags)[0].tolist()
+
+
+def loop_blocks(d: Dfa) -> list[int]:
+    """``_moore_loop``'s block ids for all states of ``d``."""
+    return _moore_loop(d.delta, d._flags.tolist())
 
 
 def unary_lasso(n: int, tail: int, accepting_mask: int) -> Dfa:
@@ -312,7 +317,7 @@ class TestMooreRoutes:
             prob = (0.0, 0.25, 0.5, 0.75, 1.0)[next(draws) % 5]
             d = random_dfa(n, k, prob, next(draws))
             with_unreachable += len(reachable_states(d)) < n
-            assert same_partition(vector_blocks(d), _moore_loop(d))
+            assert same_partition(vector_blocks(d), loop_blocks(d))
         assert with_unreachable >= 120
         # state counts where the bits of n - 1 change, up to nine letters, and
         # single-block starts (no state, or every state, accepting)
@@ -320,7 +325,7 @@ class TestMooreRoutes:
             for k in range(1, 10):
                 for prob in (0.0, 0.5, 1.0):
                     d = random_dfa(n, k, prob, next(draws))
-                    assert same_partition(vector_blocks(d), _moore_loop(d))
+                    assert same_partition(vector_blocks(d), loop_blocks(d))
 
     def test_dispatch_by_size(self, monkeypatch):
         routes = []
@@ -348,7 +353,7 @@ class TestMooreRoutes:
         # beyond one letter the loop's classes over reachable states count.
         d = large_catenation(seed, k)
         small = minimize(d)
-        blocks = _moore_loop(d)
+        blocks = loop_blocks(d)
         assert small.state_count == len({blocks[q] for q in reachable_states(d)})
         assert language_equivalent(small, d)
 

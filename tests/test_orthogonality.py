@@ -31,6 +31,7 @@ from orthocat import (
     witness_a,
     witness_b,
 )
+import orthocat.core
 import orthocat.orthogonality
 from orthocat.core import _DENSE_MIN_QUEUE
 from orthocat.oracle import brute_force_orthogonal, factorization_count_table, factorizations
@@ -500,6 +501,6 @@ class TestDenseRoute:
     def test_not_taken_past_the_budget(self, monkeypatch):
         pair = witness_b(200), witness_a(200)
         expected = _witness_key(is_orthogonal(*pair).witness)
-        monkeypatch.setattr(orthocat.orthogonality, "_DENSE_MAX_CELLS", 1)
+        monkeypatch.setattr(orthocat.core, "_MAX_CELLS", 1)
         monkeypatch.setattr(orthocat.orthogonality, "_dense_search", None)  # a call would fail
         assert _witness_key(is_orthogonal(*pair).witness) == expected

@@ -34,7 +34,6 @@ from orthocat.core import (
     _moore_loop,
     _moore_vector,
     _quotient,
-    _rank,
     _signature_hash,
     _sort_rank,
 )
@@ -42,7 +41,7 @@ from orthocat.fileformat import parse_automaton, serialize_automaton
 from orthocat.randgen import random_dfa, splitmix64_stream
 
 from conftest import dfa_pairs
-from test_core import as_table, inflated, same_partition, unary_lasso, vector_blocks
+from test_core import as_table, inflated, loop_blocks, same_partition, unary_lasso, vector_blocks
 
 
 def assert_same_build(a: Dfa, b: Dfa) -> None:
@@ -280,11 +279,11 @@ class TestPackedMoore:
         signature_hash, sort_rank, loop = _signature_hash, _sort_rank, _moore_loop
         monkeypatch.setattr(orthocat.core, "_signature_hash", lambda *a: hashed.append(a) or signature_hash(*a))
         monkeypatch.setattr(orthocat.core, "_sort_rank", lambda v: sorted_.append(v) or sort_rank(v))
-        monkeypatch.setattr(orthocat.core, "_moore_loop", lambda d: fallbacks.append(d) or loop(d))
+        monkeypatch.setattr(orthocat.core, "_moore_loop", lambda *a: fallbacks.append(a) or loop(*a))
         blocks, rounds = _moore_vector(d._table, d._flags)
         monkeypatch.undo()
         assert not fallbacks
-        assert same_partition(blocks.tolist(), _moore_loop(d))
+        assert same_partition(blocks.tolist(), loop_blocks(d))
         return rounds, len(hashed), len(sorted_)
 
     def test_all_columns_in_one_call(self, monkeypatch):
@@ -295,7 +294,7 @@ class TestPackedMoore:
         draws = splitmix64_stream(0x7AB1_0002)
         for _ in range(20):
             d = random_dfa(300, 4, 0.5, next(draws))
-            assert len(set(_moore_loop(d))) == 300
+            assert len(set(loop_blocks(d))) == 300
             rounds, hashed, sorts = self.moore(monkeypatch, d)
             assert rounds == moore_rounds(d) - 1 and hashed > 0 and sorts == 0
             twins = doubled(d)
@@ -353,14 +352,14 @@ class TestPackedMoore:
 
         loop = _moore_loop
         monkeypatch.setattr(orthocat.core, "_signature_hash", flag_only)
-        monkeypatch.setattr(orthocat.core, "_moore_loop", lambda d: fallbacks.append(d) or loop(d))
+        monkeypatch.setattr(orthocat.core, "_moore_loop", lambda *a: fallbacks.append(a) or loop(*a))
         for d, expected in zip(automata, unpatched):
             hashed.clear()
             fallbacks.clear()
             blocks = vector_blocks(d)
             assert hashed and len(fallbacks) == 1
             assert same_partition(blocks, expected)
-            assert same_partition(blocks, loop(d))
+            assert same_partition(blocks, loop_blocks(d))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -376,7 +375,7 @@ class TestPackedMoore:
         d = random_dfa(max(1, n // copies), k, prob, seed)
         if copies > 1:
             d = inflated(d, copies, seed)
-        assert same_partition(vector_blocks(d), _moore_loop(d))
+        assert same_partition(vector_blocks(d), loop_blocks(d))
 
 
 def ranked(values, span: int, rank) -> tuple[list[int], int]:
@@ -406,9 +405,6 @@ class TestRank:
         expected = ([distinct.index(v) for v in values], len(distinct))
         assert ranked(values, span, _count_rank) == expected
         assert ranked(values, span, lambda v, _: _sort_rank(v)) == expected
-        assert ranked(values, span, _rank) == expected
-        # a wider span is as valid a bound, and takes the argsort
-        assert ranked(values, 2**63, _rank) == expected
 
     def test_ranks_past_a_million_values(self):
         # the hashes' range: far too wide to count, ranked by the argsort
@@ -417,7 +413,7 @@ class TestRank:
         values[[0, 5, n - 1]] = 2**63 - 1
         values[[1, 2]] = 0
         _, expected = np.unique(values, return_inverse=True)
-        assert _rank(values, 2**63) == expected.max() + 1
+        assert _sort_rank(values) == expected.max() + 1
         assert np.array_equal(values, expected)
 
 
