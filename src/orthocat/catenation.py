@@ -143,14 +143,12 @@ def build_catenation_dfa(a: Dfa, b: Dfa) -> CatDfa:
 
 
 def _build_loop(a: Dfa, b: Dfa, limit: float = float("inf")) -> CatDfa | None:
-    """``build_catenation_dfa`` by a dict-indexed BFS over (q, mask) keys;
-    None once more than ``limit`` found states wait in the queue, or once
-    its found keys plus k cells a row (k letters) pass ``_MAX_CELLS >> 4``."""
+    """``build_catenation_dfa`` by a dict-indexed BFS over (q, mask) keys,
+    each row's masks stepped bit by bit; None once more than ``limit`` found
+    states wait in the queue, or once what it holds, its found keys plus k
+    cells a row (k letters), passes ``_MAX_CELLS >> 4``."""
     nb, k = b.state_count, len(a.alphabet)
     image = [[1 << b.delta[p][s] for p in range(nb)] for s in range(k)]
-    # step[s][mask]: the b-states that mask moves to on s. A mask recurs
-    # with many first components, so each is worked out once per symbol.
-    step: list[dict[int, int]] = [{} for _ in range(k)]
     b_start = 1 << b.start
     fb_mask = sum(1 << p for p in b.accepting)
     start_key = (a.start, b_start if a.start in a.accepting else 0)
@@ -159,16 +157,12 @@ def _build_loop(a: Dfa, b: Dfa, limit: float = float("inf")) -> CatDfa | None:
     rows: list[tuple[int, ...]] = []
     for q, mask in keys:  # keys grows while it is walked: the BFS queue
         row = []
-        for s, q2 in enumerate(a.delta[q]):
-            mask2 = step[s].get(mask)
-            if mask2 is None:
-                mask2 = 0
-                rem = mask
-                while rem:
-                    low = rem & -rem
-                    mask2 |= image[s][low.bit_length() - 1]
-                    rem ^= low
-                step[s][mask] = mask2
+        for q2, moved in zip(a.delta[q], image):
+            mask2, rem = 0, mask
+            while rem:
+                low = rem & -rem
+                mask2 |= moved[low.bit_length() - 1]
+                rem ^= low
             key = (q2, mask2 | b_start) if q2 in a.accepting else (q2, mask2)
             target = index.get(key)
             if target is None:

@@ -405,8 +405,8 @@ _DENSE_MIN_QUEUE = 64
 # orthogonality search its arrays over every key; ``verify``'s brute-force
 # oracle its count tables, (m + n) * k**8. The build's dict loop counts its
 # found keys plus k cells a row against ``_MAX_CELLS >> 4``: its cells are
-# Python objects in lists, tuples and dicts, 80-100 bytes each (tracemalloc's
-# peak on refused builds over 4 to 256 letters), so 2**20 stay near 100 MB.
+# Python objects in lists, tuples and dicts, 13-58 bytes each (tracemalloc's
+# peak on refused builds over 256 down to 4 letters), so 2**20 stay under 60 MB.
 _MAX_CELLS = 1 << 24
 
 

@@ -1,4 +1,4 @@
-"""Shared corpora and strategies for the test suite.
+"""Shared corpora, strategies and helpers for the test suite.
 
 All random corpora are seeded through the package's own splitmix64 stream so
 every run (and every implementation of the documented generator) sees the
@@ -7,9 +7,15 @@ identical automata.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
+import orthocat
 from orthocat import Dfa, Nfa
 from orthocat.randgen import random_dfa, splitmix64_stream
 
@@ -127,3 +133,16 @@ def dfa_strategy(draw, max_states: int = 5, max_alphabet: int = 3) -> Dfa:
     )
     accepting = draw(st.frozensets(st.integers(0, n - 1)))
     return Dfa(alphabet=tuple("abcde"[:k]), delta=delta, start=0, accepting=accepting)
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's orthocat,
+    whether or not the package is installed."""
+    package_parent = str(Path(orthocat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -28,6 +30,8 @@ from orthocat import (
 import orthocat.core
 from orthocat.catenation import _build_dense, _build_loop
 from orthocat.randgen import splitmix64_stream
+
+from conftest import run_python
 
 
 def epsilon_dfa(alphabet=("a",)) -> Dfa:
@@ -133,6 +137,32 @@ class TestBuildCatenationDfa:
         with pytest.raises(ValueError, match=f"limit of {1 << 24} cells"):
             build_catenation_dfa(spy, b)
         assert budget // (2 * k) <= reads <= budget // k + 1
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_refuses_a_wide_build_in_bounded_memory(self):
+        # The loop holds only its keys, their index and its rows, which is
+        # what it counts. Refusing wide_pair(256) peaks at about 41 MB of
+        # process (Linux, Python 3.11, numpy 2.4); a loop that also kept a
+        # memo of every mask it stepped peaked at 108 MB. The child reads its
+        # own VmHWM: its ru_maxrss would carry this process's over the exec.
+        program = "\n".join(
+            [
+                "import re",
+                "from orthocat import Dfa, build_catenation_dfa",
+                "from orthocat.randgen import splitmix64_stream",
+                inspect.getsource(wide_pair),
+                "try:",
+                "    build_catenation_dfa(*wide_pair(256))",
+                "except ValueError as error:",
+                "    print(error)",
+                "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])",
+            ]
+        )
+        result = run_python("-c", program)
+        assert result.returncode == 0, result.stderr
+        error, peak_kib = result.stdout.splitlines()
+        assert f"limit of {1 << 24} cells" in error
+        assert int(peak_kib) < 60 << 10
 
     def test_loop_past_its_budget_hands_over_to_the_dense_build(self, monkeypatch):
         # a 102-state path: one state a level, so the loop's queue stays short

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -7,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import orthocat
 from orthocat import (
     AmbiguityWitness,
     Dfa,
@@ -21,6 +22,7 @@ from orthocat import (
 from orthocat.cli import CSV_HEADER, SweepRow, cmd_sweep, cmd_verify, main
 from orthocat.fileformat import serialize_automaton as dump
 
+from conftest import run_python
 from test_catenation import single_word_dfa
 from test_orthogonality import epsilon_or_x_dfa
 
@@ -290,19 +292,6 @@ class TestNfaBound:
         assert "certified lower bound: 350" in capsys.readouterr().out
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout's orthocat,
-    whether or not the package is installed."""
-    package_parent = str(Path(orthocat.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-
-
 class TestConsoleScript:
     def check_verify_3_3(self, module: str) -> None:
         result = run_python("-m", module, "verify", "3", "3")
@@ -322,6 +311,28 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout == "[]\n"
+
+
+@pytest.mark.skipif(
+    not all(map(shutil.which, ("bash", "timeout", "sha256sum"))),
+    reason="the smoke script needs bash and GNU coreutils",
+)
+def test_smoke_script(tmp_path):
+    # smoke.sh runs `python` from PATH: put this interpreter first there
+    bin_dir, work = tmp_path / "bin", tmp_path / "work"
+    bin_dir.mkdir()
+    work.mkdir()
+    python = bin_dir / "python"
+    python.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} "$@"\n')
+    python.chmod(0o755)
+    result = subprocess.run(
+        ["bash", str(Path(__file__).with_name("smoke.sh")), str(work)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}"},
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 HUGE = "9" * 4300  # the most digits int() converts
