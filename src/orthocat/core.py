@@ -391,12 +391,13 @@ def dead_states(d: Dfa) -> frozenset[int]:
 # A numpy step costs tens of microseconds however few ids it takes, so it
 # only pays on wide inputs. The catenation build hands its Python walk over
 # to a numpy search by BFS levels once more than this many found ids wait in
-# its queue; the orthogonality search starts over in numpy, one step per BFS
-# level, once a level holds more than this many nodes; and ``minimize`` runs
-# on numpy tables from this many states up. Of 33,048 random pairs of up to
-# six states and three letters, none reached the build's numpy search; the
-# widest orthogonality level over the 16,524 pairs of the random-pipeline
-# benchmark is 24 nodes; and tiny random inputs stay on minimize's dict loops.
+# its queue; the orthogonality search continues from the loop's frontier in
+# numpy, one step per BFS level, once a level holds more than this many
+# nodes; and ``minimize`` runs on numpy tables from this many states up. Of
+# 33,048 random pairs of up to six states and three letters, none reached
+# the build's numpy search; the widest orthogonality level over the 16,524
+# pairs of the random-pipeline benchmark is 24 nodes; and tiny random inputs
+# stay on minimize's dict loops.
 _DENSE_MIN_QUEUE = 64
 
 # The size budget of every stage, in cells: 128 MB of int64s. Stages read it

@@ -113,13 +113,13 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
     left it, and :func:`_witness` counts only states of the first part.
 
     Levels of at most ``_DENSE_MIN_QUEUE`` nodes are expanded by the loop.
-    Once a level holds more, :func:`_dense_search` starts the search over
-    with one numpy step per level and marks the nodes on shortest paths to
-    a hit; the loop, admitting only those, then reads the same witness. The
-    numpy route runs only while its arrays keep to ``core._MAX_CELLS`` int64
-    cells (about 24 * k * (m + n)**2 for k letters); past that the loop runs
-    to the end. Both routes read the NFA's cells, frozensets, as built, in
-    any order.
+    Once a level holds more, :func:`_dense_search` continues from the loop's
+    frontier with one numpy step per level and marks the nodes on shortest
+    paths to a hit; the loop, going on from its frontier and admitting only
+    those, then reads the same witness. The numpy route runs only while its
+    arrays keep to ``core._MAX_CELLS`` int64 cells (about 24 * k * (m + n)**2
+    for k letters); past that the loop runs to the end. Both routes read the
+    NFA's cells, frozensets, as built, in any order.
     """
     _require_same_alphabet(a, b)
     nfa = build_catenation_nfa(a, b)
@@ -127,10 +127,11 @@ def is_orthogonal(a: Dfa, b: Dfa) -> OrthogonalityVerdict:
 
     bits = len(succ).bit_length()  # 2**bits > m + n, so a spare state fits
     # The dense route's int32 level array and bool hit array over every key,
-    # and six arrays of the 4 * k candidates of each node (s <= t, diverged)
-    # there is: two for the new keys each step meets and their rows, kept for
-    # every level, and four for one step's work, in case all wait in one level.
-    cells = (3 << 2 * bits) + 24 * len(nfa.alphabet) * len(succ) * (len(succ) + 1)
+    # its int64 table of the key of each state pair, and six arrays of the
+    # 4 * k candidates of each node (s <= t, diverged) there is: two for the
+    # new keys each step meets and their places, kept for every level, and
+    # four for one step's work, in case all wait in one level.
+    cells = (4 << 2 * bits) + 24 * len(nfa.alphabet) * len(succ) * (len(succ) + 1)
     narrow = _DENSE_MIN_QUEUE if cells <= core._MAX_CELLS else float("inf")
     found = _search(succ, nfa.accepting, bits, (a.start, a.start, False), narrow)
     return OrthogonalityVerdict(found and _witness(*found, a.state_count))
@@ -142,24 +143,28 @@ def _search(
     bits: int,
     start: Node,
     narrow: float,
-    keep: Callable[[Node, int], bool] | None = None,
 ) -> tuple[list[Node], Word] | None:
     """Search the self-product of :func:`is_orthogonal` from ``start`` in
     word order; return the first hit's chain, start first, and its word, or
     None past the last level.
 
-    Once a level holds more than ``narrow`` nodes, the search is left to
-    :func:`_dense_search`. When ``keep`` is given, a node met at BFS level
-    ``depth`` is admitted only if ``keep(node, depth)`` is true.
+    Once a level holds more than ``narrow`` nodes, :func:`_dense_search`
+    takes over the loop's nodes and frontier and finds the levels left; the
+    loop then goes on from its frontier, admitting a node met at BFS level
+    ``depth`` only if ``keep(node, depth)`` is true.
     """
     k = len(succ[0])
     parents: dict[Node, tuple[Node, int] | None] = {start: None}
     frontier: list[list[Node]] = [[start]]  # groups share a word, in lex order
     count = 1  # nodes in frontier
     depth = 0
+    keep: Callable[[Node, int], bool] | None = None
     while frontier:
         if count > narrow:
-            return _dense_search(succ, acc, bits, start)
+            keep = _dense_search(succ, acc, bits, parents, frontier, depth)
+            if keep is None:
+                return None
+            narrow = float("inf")
         next_frontier: list[list[Node]] = []
         count = 0
         depth += 1
@@ -191,35 +196,50 @@ def _search(
 
 
 def _dense_search(
-    succ: tuple[tuple[frozenset[int], ...], ...], acc: frozenset[int], bits: int, start: Node
-) -> tuple[list[Node], Word] | None:
-    """Search as :func:`_search` does from ``start``, with one numpy step
-    per BFS level, and return the same hit chain and word, or None past the
-    last level.
+    succ: tuple[tuple[frozenset[int], ...], ...],
+    acc: frozenset[int],
+    bits: int,
+    parents: dict[Node, tuple[Node, int] | None],
+    frontier: list[list[Node]],
+    depth: int,
+) -> Callable[[Node, int], bool] | None:
+    """Go on with the search of :func:`_search` from its ``frontier`` at
+    BFS level ``depth``, given the nodes ``parents`` it has found, with one
+    numpy step per level. Return the ``keep`` predicate that leads the loop
+    to the first hit along the same path, or None if no hit is reachable.
 
-    A node ``(s, t, diverged)`` is the key ``(s << bits | t) << 1 | diverged``,
-    so keys sort as the tuples do. ``succ`` holds the catenation NFA's cells,
-    frozensets of at most two successors; a spare state, ``len(succ)``, pads
-    every cell to two. ``level[key]`` is the BFS level of a node found,
-    -1 for one not yet found and -2 for one that holds the spare state. Each
-    step takes the next level as the set of new keys among the successors
-    of its level, and keeps each new key it meets with the row of the node
-    it comes from, until a level holds a hit. A pass down the kept keys
-    marks ``good`` the nodes with a path to a hit, and :func:`_search`,
-    admitting only good nodes at their own level, reads the witness.
+    A node ``(s, t, diverged)`` is the key ``(s << bits | t) << 1 | diverged``.
+    ``succ`` holds the catenation NFA's cells, frozensets of at most two
+    successors; a spare state, ``len(succ)``, pads every cell to two.
+    ``level[key]`` is -1 for a node not yet found, -2 for one that holds the
+    spare state, ``depth`` for one the loop has found and the BFS level of
+    one found since. Each step takes the next level as the set of new keys
+    among the successors of its level, and keeps each new key it meets with
+    its place among them, which gives the row of the node it comes from,
+    until a level holds a hit. A pass down the kept keys marks ``good`` the
+    nodes with a path to a hit, and ``keep`` admits only good nodes at their
+    own level.
 
-    That witness is the full loop's: the first node to reach a good node in
-    the loop steps to it from one level down, so it is itself good. The
-    limited loop thus meets the good nodes in the same order, from the same
-    parents, and stops at the same first hit.
+    The limited loop reads the full loop's witness: the first node to reach
+    a good node in the loop steps to it from one level down, so it is itself
+    good. From the frontier on, the limited loop thus meets the good nodes
+    in the same order, from the same parents, and stops at the same first
+    hit; the parents before the frontier are the loop's own.
     """
     k = len(succ[0])
     spare, low, shift = len(succ), (1 << bits) - 1, bits + 1
-    table = np.full((1 << bits, k, 2), spare, dtype=np.int64)
+    table = np.full((spare + 1, k, 2), spare, dtype=np.int64)
     table[:spare] = [[tuple(cell) + (spare,) * (2 - len(cell)) for cell in row] for row in succ]
-    # the successors of s and of t for the four choices of a symbol, in order
-    firsts = table[:, :, [0, 0, 1, 1]].reshape(1 << bits, 4 * k)
-    seconds = table[:, :, [0, 1, 0, 1]].reshape(1 << bits, 4 * k)
+    # the successors of s and of t for the four choices of a symbol, in
+    # order, as a row and a column of ``canon``
+    firsts = table[:, :, [0, 0, 1, 1]].reshape(spare + 1, 4 * k) * (spare + 1)
+    seconds = table[:, :, [0, 1, 0, 1]].reshape(spare + 1, 4 * k)
+    # canon[u * (spare + 1) + v] is the key of the pair (u, v), the lesser of
+    # its two ordered keys, diverged if u != v
+    states = np.arange(spare + 1)
+    canon = np.bitwise_or.outer(states << shift, states << 1 | 1)
+    canon = np.minimum(canon, canon.T).ravel()
+    canon[:: spare + 2] ^= 1  # a pair (u, u) has not diverged
     flags = _flags_of(1 << bits, list(acc))
     hit = np.zeros((1 << bits, 1 << bits, 2), dtype=bool)
     hit[:, :, 1] = np.logical_and.outer(flags, flags)
@@ -231,38 +251,37 @@ def _dense_search(
     level = np.full(2 << 2 * bits, -1, dtype=np.int32)
     padded = (np.arange(spare + 1) << bits | spare) << 1
     level[padded] = level[padded | 1] = -2
-    keys = np.array([key(start)], dtype=np.int64)
-    level[keys] = 0
+    level[np.fromiter(map(key, parents), np.int64, len(parents))] = depth
+    keys = np.fromiter((key(node) for group in frontier for node in group), np.int64)
     levels, edges = [keys], []
     while not hit.take(keys).any():
-        s2, t2 = firsts.take(keys >> shift, 0), seconds.take(keys >> 1 & low, 0)
-        cand = np.minimum(s2, t2)
-        cand <<= bits
-        cand |= np.maximum(s2, t2)
-        cand <<= 1
-        cand |= s2 != t2
+        cand = canon.take(firsts.take(keys >> shift, 0) + seconds.take(keys >> 1 & low, 0))
         cand |= (keys & 1)[:, None]
-        del s2, t2  # at most four candidate-sized arrays live, as the budget counts
         found = np.flatnonzero(level.take(cand) == -1)
         new = cand.take(found)
-        del cand
-        keys = np.unique(new)
-        if not len(keys):
+        del cand  # at most four candidate-sized arrays live, as the budget counts
+        if not len(new):
             return None
-        level[keys] = len(levels)
+        # one occurrence of each new key: of the places written at a key
+        # repeated in ``new``, exactly one stays
+        place = np.arange(-3, -3 - len(new), -1)
+        level[new] = place
+        keys = new[level.take(new) == place]
+        depth += 1
+        level[keys] = depth
         levels.append(keys)
-        edges.append((found // (4 * k), new))  # each new key met and its row
+        edges.append((found, new))  # each new key met, and where
 
     # mark the nodes with a path to a hit, from the hit level down: a node
     # has one when a new key it steps to has one
     good = hit
-    for keys, (rows, new) in zip(levels[-2::-1], reversed(edges)):
-        good[keys[rows[good.take(new)]]] = True
+    for keys, (found, new) in zip(levels[-2::-1], reversed(edges)):
+        good[keys[found[good.take(new)] // (4 * k)]] = True
 
     def keep(node: Node, depth: int) -> bool:
         return good[key(node)] and level[key(node)] == depth
 
-    return _search(succ, acc, bits, start, float("inf"), keep)
+    return keep
 
 
 def _witness(chain: list[Node], word: Word, m: int) -> AmbiguityWitness:

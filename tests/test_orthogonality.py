@@ -46,6 +46,8 @@ WIDE_PAIRS_SEED = 0x0D15_0036
 # after a few narrow levels, from the first level wider than the default,
 # and never
 QUEUE_LIMITS = (0, 4, _DENSE_MIN_QUEUE, 10**9)
+# handover thresholds that leave the loop's frontier at many depths
+HANDOVER_LIMITS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, _DENSE_MIN_QUEUE)
 
 
 def _handover_above(limit):
@@ -392,8 +394,8 @@ class TestLongWitnessPinned:
 
 
 class TestDenseRoute:
-    """The numpy route that searches wide products again from the start,
-    against the Python loop."""
+    """The numpy route that takes over wide searches from the loop's
+    frontier, against the Python loop alone."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**64 - 1))
@@ -407,14 +409,17 @@ class TestDenseRoute:
 
     def test_same_witness_on_wider_pairs(self):
         # up to 30 states: levels of up to 101 nodes, up to 9 hits in the
-        # last level and up to 14 nodes of one level on a path to a hit
+        # last level and up to 14 nodes of one level on a path to a hit; the
+        # numpy route takes over the loop's frontier at many depths
         pairs = dfa_pairs(WIDE_PAIRS_SEED, 50, max_m=30, max_n=30)
-        results = []
-        for limit in (0, 10**9):
+        pairs.append((witness_b(40), witness_a(40)))
+        with _handover_above(10**9):
+            expected = [_witness_key(is_orthogonal(a, b).witness) for a, b in pairs]
+        assert sum(w is not None for w in expected) > 10
+        for limit in HANDOVER_LIMITS:
             with _handover_above(limit):
-                results.append([_witness_key(is_orthogonal(a, b).witness) for a, b in pairs])
-        assert results[0] == results[1]
-        assert sum(w is not None for w in results[0]) > 10
+                got = [_witness_key(is_orthogonal(a, b).witness) for a, b in pairs]
+            assert got == expected, limit
 
     def test_least_parent_of_each_node(self):
         # aaa factors as ε·aaa, a·aa and aaa·ε; the first two runs meet in
@@ -432,32 +437,74 @@ class TestDenseRoute:
         pairs = [(witness_a(m), witness_b(m)), (witness_b(m), witness_a(m))]
         with _handover_above(10**9):
             expected = [_witness_key(is_orthogonal(a, b).witness) for a, b in pairs]
-        calls = []
+        handovers = []
         dense = orthocat.orthogonality._dense_search
-        monkeypatch.setattr(
-            orthocat.orthogonality,
-            "_dense_search",
-            lambda *args: calls.append(args) or dense(*args),
-        )
+
+        def spy(succ, acc, bits, parents, frontier, depth):
+            # the loop's levels so far, counted from the parent links before
+            # the loop goes on and adds to them
+            levels = {}
+            for node, edge in parents.items():
+                levels[node] = 0 if edge is None else levels[edge[0]] + 1
+            widths = [0] * (depth + 1)
+            for d in levels.values():
+                widths[d] += 1
+            handovers.append((widths, sum(map(len, frontier))))
+            return dense(succ, acc, bits, parents, frontier, depth)
+
+        monkeypatch.setattr(orthocat.orthogonality, "_dense_search", spy)
         assert expected[0] is None and expected[1] is not None
         assert [_witness_key(is_orthogonal(a, b).witness) for a, b in pairs] == expected
-        assert len(calls) == (2 if m == 200 else 1)  # (a40, b40) stays narrow
+        assert len(handovers) == (2 if m == 200 else 1)  # (a40, b40) stays narrow
+        for widths, width in handovers:
+            # handed over at the first level wider than the default, whole
+            assert width == widths[-1] > _DENSE_MIN_QUEUE
+            assert max(widths[:-1]) <= _DENSE_MIN_QUEUE
+
+    def test_no_level_is_expanded_twice(self, monkeypatch):
+        # the loop expands the levels before its frontier and the numpy route
+        # those from the frontier to the hit level, so together they expand
+        # the same nodes wherever the loop hands over
+        dense, flatnonzero, expanded = orthocat.orthogonality._dense_search, np.flatnonzero, []
+
+        def spy(succ, acc, bits, parents, frontier, depth):
+            expanded.append(len(parents) - sum(map(len, frontier)))
+
+            def counted(unseen):  # one numpy step: a row of candidates a node
+                expanded.append(len(unseen))
+                return flatnonzero(unseen)
+
+            with monkeypatch.context() as m:
+                m.setattr(np, "flatnonzero", counted)
+                return dense(succ, acc, bits, parents, frontier, depth)
+
+        monkeypatch.setattr(orthocat.orthogonality, "_dense_search", spy)
+        totals = set()
+        for limit in HANDOVER_LIMITS:
+            expanded.clear()
+            with _handover_above(limit):
+                is_orthogonal(witness_b(40), witness_a(40))
+            assert len(expanded) > 1, limit
+            totals.add(sum(expanded))
+        assert len(totals) == 1
 
     def test_witness_read_admits_one_path(self, monkeypatch):
-        # the numpy route reads its witness with the loop limited to the
-        # nodes on shortest paths to a hit: here one node a level
-        search, admitted = orthocat.orthogonality._search, []
+        # the numpy route leads the loop's witness read to the nodes on
+        # shortest paths to a hit: here one node a level
+        dense, admitted = orthocat.orthogonality._dense_search, []
 
-        def spy(succ, acc, bits, start, narrow, keep=None):
+        def spy(*args):
+            keep = dense(*args)
+
             def counted(node, depth):
                 admits = keep(node, depth)
                 if admits:
                     admitted.append(node)
                 return admits
 
-            return search(succ, acc, bits, start, narrow, keep and counted)
+            return keep and counted
 
-        monkeypatch.setattr(orthocat.orthogonality, "_search", spy)
+        monkeypatch.setattr(orthocat.orthogonality, "_dense_search", spy)
         with _handover_above(0):
             witness = is_orthogonal(witness_b(200), witness_a(200)).witness
         assert len(witness.word) == 397
