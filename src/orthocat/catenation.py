@@ -193,10 +193,10 @@ def _build_dense(a: Dfa, b: Dfa) -> CatDfa:
     # spawn[q]: the bit a move into q adds, b's start state iff q accepts;
     # moves[q, s]: the key bits of the move from q on s, its target and spawn
     spawn = np.where(a._flags, 1 << b.start, 0)
-    moves, low = a._table << nb | spawn[a._table], (1 << nb) - 1
+    moves, low = a._table << nb | spawn.take(a._table), (1 << nb) - 1
 
     def successors(keys: np.ndarray) -> np.ndarray:
-        return moves[keys >> nb] | step[keys & low]
+        return moves.take(keys >> nb, 0) | step.take(keys & low, 0)
 
     start = a.start << nb | int(spawn[a.start])
     keys, rows = _bfs_levels(start, a.state_count << nb, successors)

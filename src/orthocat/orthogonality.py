@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -229,7 +230,13 @@ def _dense_search(
     k = len(succ[0])
     spare, low, shift = len(succ), (1 << bits) - 1, bits + 1
     table = np.full((spare + 1, k, 2), spare, dtype=np.int64)
-    table[:spare] = [[tuple(cell) + (spare,) * (2 - len(cell)) for cell in row] for row in succ]
+    # each cell's successors in its own order, then the spare state
+    cells = list(chain.from_iterable(succ))
+    lens = np.fromiter(map(len, cells), np.int64, len(cells))
+    vals = np.fromiter(chain.from_iterable(cells), np.int64, int(lens.sum()))
+    starts, pairs = lens.cumsum() - lens, table[:spare].reshape(-1, 2)
+    pairs[lens >= 1, 0] = vals.take(starts[lens >= 1])
+    pairs[lens == 2, 1] = vals.take(starts[lens == 2] + 1)
     # the successors of s and of t for the four choices of a symbol, in
     # order, as a row and a column of ``canon``
     firsts = table[:, :, [0, 0, 1, 1]].reshape(spare + 1, 4 * k) * (spare + 1)

@@ -44,6 +44,22 @@ from conftest import dfa_pairs
 from test_core import as_table, inflated, loop_blocks, same_partition, unary_lasso, vector_blocks
 
 
+def layouts(table: np.ndarray) -> list[np.ndarray]:
+    """``table``'s cells as a Fortran-ordered copy and as two views that
+    are not contiguous, one skipping columns and one skipping rows."""
+    return [
+        np.asfortranarray(table),
+        np.repeat(table, 2, axis=1)[:, ::2],
+        np.repeat(table, 2, axis=0)[::2],
+    ]
+
+
+def laid_out(d: Dfa, table: np.ndarray) -> Dfa:
+    """``d`` keeping ``table``, equal to its own, in the layout given."""
+    assert np.array_equal(table, d._table)
+    return Dfa._make(d.alphabet, table, d.start, d._flags)
+
+
 def assert_same_build(a: Dfa, b: Dfa) -> None:
     dense, loop = _build_dense(a, b), _build_loop(a, b)
     assert dense.keys == loop.keys
@@ -69,6 +85,19 @@ class TestDenseBuild:
         assert _build_loop(a, b, states) is not None
         assert _build_loop(a, b, 0) is None
 
+    def test_inputs_in_any_layout(self):
+        for m, n in ((3, 3), (4, 6), (6, 8), (10, 12)):
+            a, b = witness_a(m), witness_b(n)
+            expected = _build_loop(a, b)
+            for ta, tb in zip(layouts(a._table), layouts(b._table)):
+                assert not (ta.flags.c_contiguous or tb.flags.c_contiguous)
+                # Dfa(...) copies into C order, _make keeps the layout as given
+                copied = [Dfa(d.alphabet, t, d.start, d.accepting) for d, t in ((a, ta), (b, tb))]
+                for fa, fb in (copied, (laid_out(a, ta), laid_out(b, tb))):
+                    built = _build_dense(fa, fb)
+                    assert built == expected
+                    assert built.dfa._table.tobytes() == expected.dfa._table.tobytes()
+
     def test_dispatch_by_queue_length(self):
         small = build_catenation_dfa(witness_a(3), witness_b(3))
         wide = build_catenation_dfa(witness_a(6), witness_b(8))
@@ -90,6 +119,25 @@ class TestTableMinimize:
             prob = (0.0, 0.25, 0.5, 0.75, 1.0)[next(draws) % 5]
             d = random_dfa(n, k, prob, next(draws))
             assert serialize_automaton(_minimize_table(d)) == serialize_automaton(_minimize_loop(d))
+
+    def test_tables_in_any_layout(self):
+        draws = splitmix64_stream(0x7AB1_0008)
+        renumbered = 0
+        for _ in range(40):
+            n = 64 + next(draws) % 237
+            k = 1 + next(draws) % 4
+            prob = (0.25, 0.5, 0.75)[next(draws) % 3]
+            d = random_dfa(n, k, prob, next(draws))
+            small = _minimize_table(d)
+            # minimal, not breadth-first: renumbered straight from the table given
+            perm = np.array(sorted(range(small.state_count), key=lambda q: next(draws)))
+            for x in (d, renamed(small, perm)):
+                expected = serialize_automaton(_minimize_loop(x))
+                renumbered += not _is_breadth_first(x._table, x.start)
+                for table in layouts(x._table):
+                    assert serialize_automaton(_minimize_table(laid_out(x, table))) == expected
+                    assert serialize_automaton(minimize(laid_out(x, table))) == expected
+        assert renumbered > 40
 
     def test_returns_a_table_backed_automaton(self):
         d = build_catenation_dfa(witness_a(6), witness_b(8)).dfa
@@ -417,6 +465,18 @@ class TestRank:
         assert np.array_equal(values, expected)
 
 
+def test_take_may_write_over_its_own_indices():
+    # _count_rank, _quotient and _bfs_levels gather into the index array
+    # itself: each index is read before its place is written
+    rng = np.random.default_rng(0x7AB1_0009)
+    for size, shape in ((1, (1,)), (7, (50,)), (1000, (4000,)), (5000, (3000, 4)), (2**16, (2**17,))):
+        src = rng.integers(-(2**63), 2**63 - 1, size)
+        idx = rng.integers(0, size, shape)
+        expected = src[idx]
+        assert src.take(idx, out=idx, mode="clip") is idx
+        assert np.array_equal(idx, expected)
+
+
 class TestDfaForms:
     def test_equal_and_same_hash_across_forms(self):
         d = witness_a(5)
@@ -457,6 +517,12 @@ class TestDfaForms:
         assert d.delta == witness_b(4).delta
         with pytest.raises(ValueError, match="read-only"):
             d._table[0, 0] = 1
+
+    def test_table_is_kept_in_c_order(self):
+        d = witness_b(5)
+        for table in layouts(np.array(d.delta)):
+            kept = Dfa(d.alphabet, table, d.start, d.accepting)
+            assert kept._table.flags.c_contiguous and kept == d
 
     def test_read_only_view_is_copied(self):
         base = np.array([[1], [0], [2]])
